@@ -45,6 +45,10 @@ class StoreBufferModel:
         #: incrementally by write/flush so schedulers do not rescan every
         #: thread's buffers at each decision point.
         self._pending_tids: set = set()
+        #: Cached :meth:`fingerprint` (None when stale).  Every buffer
+        #: mutation goes through ``_note_push``/``_note_pop``/``reset``,
+        #: which clear it, so subclasses stay consistent for free.
+        self._fp = None
 
     def attach(self, commit: CommitFn,
                sink: Optional[PredicateSink] = None) -> None:
@@ -119,16 +123,18 @@ class StoreBufferModel:
     # immutable-enough value; ``restore()`` reinstates it.  One snapshot
     # may be restored many times (fork-and-backtrack DFS), so restore
     # always rebuilds fresh mutable containers.  ``fingerprint()`` is a
-    # canonical hashable encoding of the buffers for state dedup.
+    # canonical hashable encoding of the buffers for state dedup; the
+    # snapshot carries its cached value (last element) along.
 
     def snapshot(self):
         return (self.depth_hwm, dict(self._depths),
-                self._buffers_snapshot())
+                self._buffers_snapshot(), self._fp)
 
     def restore(self, state) -> None:
         self.depth_hwm = state[0]
         self._depths = dict(state[1])
         self._buffers_restore(state[2])
+        self._fp = state[3]
 
     def _buffers_snapshot(self):
         return None
@@ -139,7 +145,14 @@ class StoreBufferModel:
                 "%s does not implement buffer restore" % type(self).__name__)
 
     def fingerprint(self):
-        """Canonical hashable encoding of all buffered stores."""
+        """Canonical hashable encoding of all buffered stores, cached
+        until the next buffer mutation."""
+        fp = self._fp
+        if fp is None:
+            fp = self._fp = self._fingerprint()
+        return fp
+
+    def _fingerprint(self):
         return ()
 
     # -- helpers -------------------------------------------------------
@@ -156,12 +169,14 @@ class StoreBufferModel:
         depth = self._depths.get(tid, 0) + 1
         self._depths[tid] = depth
         self._pending_tids.add(tid)
+        self._fp = None
         if depth > self.depth_hwm:
             self.depth_hwm = depth
 
     def _note_pop(self, tid: int) -> None:
         depth = self._depths[tid] - 1
         self._depths[tid] = depth
+        self._fp = None
         if depth <= 0:
             self._pending_tids.discard(tid)
 
@@ -298,6 +313,7 @@ class TSOModel(StoreBufferModel):
         self._buffers.clear()
         self._pending_tids.clear()
         self._reset_depths()
+        self._fp = None
 
     def _buffers_snapshot(self):
         return {tid: tuple(buf)
@@ -308,7 +324,7 @@ class TSOModel(StoreBufferModel):
                          for tid, entries in state.items()}
         self._pending_tids = set(state)
 
-    def fingerprint(self):
+    def _fingerprint(self):
         return tuple(sorted((tid, tuple(buf))
                             for tid, buf in self._buffers.items() if buf))
 
@@ -430,6 +446,7 @@ class PSOModel(StoreBufferModel):
         self._buffers.clear()
         self._pending_tids.clear()
         self._reset_depths()
+        self._fp = None
 
     def _buffers_snapshot(self):
         return {tid: {addr: tuple(entries)
@@ -443,7 +460,7 @@ class PSOModel(StoreBufferModel):
         self._pending_tids = {tid for tid, bufs in self._buffers.items()
                               if bufs}
 
-    def fingerprint(self):
+    def _fingerprint(self):
         return tuple(sorted(
             (tid, tuple(sorted((addr, tuple(entries))
                                for addr, entries in bufs.items()

@@ -197,6 +197,7 @@ class Recorder(NullRecorder):
         m.inc("explore/cache_states", stats.cache_states)
         m.inc("explore/snapshots", stats.snapshots)
         m.inc("explore/restores", stats.restores)
+        m.inc("explore/step_limited", stats.step_limited)
         if stats.snapshot_bytes > 0:
             m.observe("explore/snapshot_bytes", stats.snapshot_bytes)
 

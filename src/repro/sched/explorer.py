@@ -41,6 +41,8 @@ memory, buffers, and spawn counter — not on the step count — so if
 may explore outcomes past a step horizon the replay baseline stops at.
 All catalog litmus tests and generated fuzz programs have bounded loops,
 where budget ``max_steps`` is never the binding constraint.
+``ExploreStats.step_limited`` counts the leaves the step limit cut (they
+are also counted in ``paths``).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from ..obs.recorder import NULL_RECORDER
 from ..vm.compile import make_vm
 from ..vm.errors import SpecViolationError, StepLimitExceeded
 from ..vm.interp import VM, VMSnapshot
+from ..vm.state import Thread, ThreadStatus
 
 #: Builds a fresh memory-model instance for one exploration.
 ModelFactory = Callable[[], StoreBufferModel]
@@ -63,8 +66,9 @@ ModelFactory = Callable[[], StoreBufferModel]
 OutcomeFn = Callable[[VM], Tuple]
 
 #: Per-call budget handed to ``VM.run_local`` while advancing local
-#: instructions (the burst is repeated until no thread makes progress,
-#: so the value only bounds work per call, not total local progress).
+#: instructions (a sweep is repeated while some thread used its whole
+#: burst, so the value only bounds work per call, not total local
+#: progress).
 _LOCAL_BURST = 4096
 
 #: Supported reduction levels, weakest first.
@@ -111,7 +115,7 @@ class ExploreStats:
     """Reduction and snapshot counters for one exploration."""
 
     __slots__ = ("paths", "pruned", "cache_hits", "cache_states",
-                 "snapshots", "restores", "snapshot_bytes")
+                 "snapshots", "restores", "snapshot_bytes", "step_limited")
 
     def __init__(self) -> None:
         self.paths = 0            # leaves reached (terminal/violation/limit)
@@ -120,7 +124,8 @@ class ExploreStats:
         self.cache_states = 0     # distinct states entered into the cache
         self.snapshots = 0
         self.restores = 0
-        self.snapshot_bytes = 0   # pickled size of the first snapshot taken
+        self.snapshot_bytes = 0   # pickled execution state of 1st snapshot
+        self.step_limited = 0     # leaves cut by StepLimitExceeded (in paths)
 
     @property
     def estimated_unreduced(self) -> int:
@@ -137,6 +142,7 @@ class ExploreStats:
             "snapshots": self.snapshots,
             "restores": self.restores,
             "snapshot_bytes": self.snapshot_bytes,
+            "step_limited": self.step_limited,
             "estimated_unreduced": self.estimated_unreduced,
         }
 
@@ -146,7 +152,7 @@ class ExploreStats:
                                    self.cache_hits, self.snapshots))
 
 
-def _advance_local(vm: VM) -> None:
+def _advance_local(vm: VM) -> List[int]:
     """Eagerly run register-only instructions of every thread.
 
     Local steps commute with all other threads' actions, so executing
@@ -157,32 +163,50 @@ def _advance_local(vm: VM) -> None:
     commutativity that justifies the reduction also makes the two orders
     reach the same state at every decision point, and depth-first runs
     let the compiled VM use superinstructions.
+
+    One sweep suffices: a local op cannot enable or disable a thread or
+    change what another thread runs next, so a thread whose burst
+    stopped short stays stopped.  Only a burst that used its whole
+    budget may have more to run, and then the sweep repeats.  Every
+    thread that ran clears its cached state-key component and step
+    option.
+
+    Returns the enabled tids, which the sweep leaves unchanged.
     """
-    progress = True
-    while progress:
-        progress = False
-        for tid in vm.enabled_tids():
-            if vm.run_local(tid, _LOCAL_BURST, with_assert=True):
-                progress = True
+    threads = vm.threads
+    again = True
+    while again:
+        again = False
+        enabled = vm.enabled_tids()
+        for tid in enabled:
+            executed = vm.run_local(tid, _LOCAL_BURST, with_assert=True)
+            if executed:
+                thread = threads[tid]
+                thread.key = thread.step_option = None
+                if executed == _LOCAL_BURST:
+                    again = True
+    return enabled
 
 
 # ----------------------------------------------------------------------
 # Footprints and independence
 
-def _step_footprint(vm: VM, tid: int, instr) -> Footprint:
-    """The shared-state footprint of thread *tid*'s next step."""
-    if instr is None:
+def _step_footprint(vm: VM, thread: Thread) -> Footprint:
+    """The shared-state footprint of an enabled thread's next step."""
+    if thread.status is not ThreadStatus.RUNNABLE:
         # Blocked-join completion: drains the target's buffers and
         # changes scheduling state — treat as global.
         return _GLOBAL_FP
+    frame = thread.frames[-1]
+    instr = frame.fn.body[frame.ip]
     cls = instr.__class__
     if cls is ins.Load:
-        addr = vm._value(instr.addr, vm.threads[tid].top)
+        addr = vm._value(instr.addr, frame)
         return (False, frozenset((addr,)), _EMPTY)
     if cls is ins.Store:
         if vm.model.name == "sc":
             # SC commits immediately: a real shared write.
-            addr = vm._value(instr.addr, vm.threads[tid].top)
+            addr = vm._value(instr.addr, frame)
             return (False, _EMPTY, frozenset((addr,)))
         return _LOCAL_FP
     return _GLOBAL_FP
@@ -210,22 +234,32 @@ def _conflict(a: Footprint, b: Footprint) -> bool:
 Option = Tuple[Tuple, Tuple, Footprint]
 
 
-def _options(vm: VM) -> List[Option]:
-    """Branch options in the replay reference's order: enabled tids
-    ascending, then flushes."""
+def _options(vm: VM, enabled: List[int]) -> List[Option]:
+    """Branch options in the replay reference's order: *enabled* tids
+    (ascending, as :func:`_advance_local` returns them), then flushes.
+
+    A thread's step option depends only on its own state, so it is
+    cached in ``Thread.step_option`` and cleared with ``Thread.key``.
+    """
+    threads = vm.threads
     opts: List[Option] = []
-    for tid in vm.enabled_tids():
-        ident = ("step", tid)
-        opts.append((ident, ident,
-                     _step_footprint(vm, tid, vm.peek(tid))))
+    for tid in enabled:
+        thread = threads[tid]
+        opt = thread.step_option
+        if opt is None:
+            ident = ("step", tid)
+            opt = thread.step_option = (ident, ident,
+                                        _step_footprint(vm, thread))
+        opts.append(opt)
     model = vm.model
+    pending = model.pending_tids()
     if model.name == "pso":
-        for tid in vm.tids_with_pending():
+        for tid in pending:
             for addr in model.pending_addrs(tid):
                 ident = ("flush", tid, addr)
                 opts.append((ident, ident, _flush_footprint(addr)))
     else:
-        for tid in vm.tids_with_pending():
+        for tid in pending:
             head = model.head_addr(tid)
             opts.append((("flush", tid, None), ("flush", tid, head),
                          _flush_footprint(head)))
@@ -242,13 +276,23 @@ def _state_key(vm: VM) -> Tuple:
     converge on the same state dedupe (see module caveat on
     ``max_steps``), and the history (outcome extraction for explored
     programs depends on globals and thread results only).
+
+    Each component is cached next to the state it describes — a
+    thread's tuple in ``Thread.key``, memory and buffer fingerprints in
+    their owners — and rebuilt only after that state changed, so a DFS
+    edge re-keys one thread, or one buffer plus memory.
     """
-    threads = tuple(
-        (tid, thread.status.value, thread.join_target, thread.result,
-         tuple((frame.fn.name, frame.ip, tuple(sorted(frame.regs.items())))
-               for frame in thread.frames))
-        for tid, thread in sorted(vm.threads.items()))
-    return (threads, vm._next_tid, vm.memory.fingerprint(),
+    keys = []
+    for tid, thread in sorted(vm.threads.items()):
+        key = thread.key
+        if key is None:
+            key = thread.key = (
+                tid, thread.status.value, thread.join_target, thread.result,
+                tuple((frame.fn.name, frame.ip,
+                       tuple(sorted(frame.regs.items())))
+                      for frame in thread.frames))
+        keys.append(key)
+    return (tuple(keys), vm._next_tid, vm.memory.fingerprint(),
             vm.model.fingerprint())
 
 
@@ -315,50 +359,50 @@ class _Search:
                 node.sleep[ident] = fp
             else:
                 child_sleep = node.sleep
-            if self._edge(choice):
-                self._visit(child_sleep)
+            enabled = self._edge(choice)
+            if enabled is not None:
+                self._visit(child_sleep, enabled)
         return True
 
     def _root(self) -> bool:
         """Advance local steps and open the root node.  Returns False if
         the root itself is a leaf (nothing pushed)."""
-        try:
-            _advance_local(self.vm)
-        except SpecViolationError as exc:
-            self.violations.add(str(exc))
-            self.stats.paths += 1
+        enabled = self._edge(None)
+        if enabled is None:
             return False
-        except StepLimitExceeded:
-            self.stats.paths += 1
-            return False
-        self._visit({})
+        self._visit({}, enabled)
         return bool(self.stack)
 
-    def _edge(self, choice: Tuple) -> bool:
-        """Execute one choice plus eager local steps.  Returns False when
-        the edge terminates the path (violation or step limit)."""
+    def _edge(self, choice: Optional[Tuple]) -> Optional[List[int]]:
+        """Execute one choice (None at the root) plus eager local steps.
+        Returns the enabled tids at the decision point reached, or None
+        when the edge terminates the path (violation or step limit)."""
         vm = self.vm
         try:
-            if choice[0] == "step":
+            if choice is None:
+                pass
+            elif choice[0] == "step":
+                thread = vm.threads[choice[1]]
+                thread.key = thread.step_option = None
                 vm.step(choice[1])
             else:
                 vm.flush_one(choice[1], choice[2])
-            _advance_local(vm)
+            return _advance_local(vm)
         except SpecViolationError as exc:
             self.violations.add(str(exc))
             self.stats.paths += 1
-            return False
         except StepLimitExceeded:
             self.stats.paths += 1  # unbounded path (e.g. spin loop): prune
-            return False
-        return True
+            self.stats.step_limited += 1
+        return None
 
-    def _visit(self, sleep: Dict[Tuple, Footprint]) -> None:
+    def _visit(self, sleep: Dict[Tuple, Footprint],
+               enabled: List[int]) -> None:
         """Classify the VM's current state: leaf, pruned, cached, or a
         new interior node pushed onto the stack."""
         vm = self.vm
         stats = self.stats
-        options = _options(vm)
+        options = _options(vm, enabled)
         if not options:
             self.outcomes.add(self.outcome_fn(vm))
             stats.paths += 1
@@ -398,11 +442,22 @@ class _Search:
 
 
 def _snapshot_size(snap: VMSnapshot) -> int:
-    try:
-        payload = tuple(getattr(snap, slot) for slot in VMSnapshot.__slots__)
-        return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return -1  # unpicklable snapshot contents: size unknown
+    """Pickled size of the execution state a snapshot copies.
+
+    Functions are named, not pickled (they are shared, not copied), and
+    the explorer's caches — the per-frame dispatch cache, ``Thread.key``
+    and ``Thread.step_option``, and the memory and buffer fingerprints
+    (last element of their snapshots) — are left out, so both VM
+    backends report the same size.
+    """
+    threads = [(t.tid, t.status.value, t.join_target, t.result,
+                [(f.fn.name, f.ip, f.regs, f.ret_dst, f.op_record)
+                 for f in t.frames])
+               for t in snap.threads.values()]
+    payload = (threads, snap.next_tid, snap.steps, snap.seq, snap.flushes,
+               snap.history, snap.memory[:-1], snap.model[:-1],
+               snap.runnable, snap.blocked_join)
+    return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 # ----------------------------------------------------------------------

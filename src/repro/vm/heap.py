@@ -32,6 +32,10 @@ class SharedMemory:
         self._region_sizes: Dict[int, int] = {}
         self.global_addr: Dict[str, int] = {}
         self._bump = NULL_GUARD
+        #: Cached :meth:`fingerprint` (None when stale): cleared by every
+        #: mutation — ``write``, ``pagealloc``, ``pagefree`` — and carried
+        #: through snapshot/restore.
+        self._fp: Optional[Tuple] = None
         self._layout_globals(module)
 
     # ------------------------------------------------------------------
@@ -66,6 +70,7 @@ class SharedMemory:
         base = self._reserve(size)
         for offset in range(size):
             self.cells[base + offset] = 0
+        self._fp = None
         return base
 
     def pagefree(self, addr: int) -> None:
@@ -80,6 +85,7 @@ class SharedMemory:
         del self._region_sizes[addr]
         pos = bisect.bisect_left(self._region_bases, addr)
         del self._region_bases[pos]
+        self._fp = None
 
     # ------------------------------------------------------------------
     # Safety checking
@@ -112,17 +118,19 @@ class SharedMemory:
 
     def write(self, addr: int, value: int) -> None:
         self.cells[addr] = value
+        self._fp = None
 
     # ------------------------------------------------------------------
     # Snapshot/restore (schedule exploration)
 
     def snapshot(self) -> Tuple:
-        """Capture cells, the live-region table, and the bump pointer.
+        """Capture cells, the live-region table, the bump pointer, and
+        (last) the cached fingerprint.
 
         ``global_addr`` is fixed at load time and shared, not copied.
         """
         return (dict(self.cells), list(self._region_bases),
-                dict(self._region_sizes), self._bump)
+                dict(self._region_sizes), self._bump, self._fp)
 
     def restore(self, state: Tuple, consume: bool = False) -> None:
         """Reinstate a snapshot.
@@ -132,7 +140,7 @@ class SharedMemory:
         the snapshot's containers in directly — valid only for the final
         restore of that snapshot.
         """
-        cells, bases, sizes, bump = state
+        cells, bases, sizes, bump, fp = state
         if consume:
             self.cells = cells
             self._region_bases = bases
@@ -142,11 +150,16 @@ class SharedMemory:
             self._region_bases = list(bases)
             self._region_sizes = dict(sizes)
         self._bump = bump
+        self._fp = fp
 
     def fingerprint(self) -> Tuple:
-        """Canonical hashable encoding of the memory state (state dedup)."""
-        return (tuple(sorted(self.cells.items())),
-                tuple(self._region_bases), self._bump)
+        """Canonical hashable encoding of the memory state (state dedup),
+        cached until the next mutation."""
+        fp = self._fp
+        if fp is None:
+            fp = self._fp = (tuple(sorted(self.cells.items())),
+                             tuple(self._region_bases), self._bump)
+        return fp
 
     def region_of(self, addr: int) -> Optional[Tuple[int, int]]:
         """The (base, size) of the live region containing ``addr``."""

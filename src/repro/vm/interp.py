@@ -48,12 +48,12 @@ class VMSnapshot:
     Opaque to callers: hand it back to :meth:`VM.restore` on the *same*
     VM instance.  Snapshots deep-copy all mutable execution state
     (threads, frames, registers, shared memory, store buffers, history,
-    counters) and share everything immutable (module, functions,
-    dispatch tables).
+    counters, the runnable set and blocked-join map) and share everything
+    immutable (module, functions, dispatch tables).
     """
 
     __slots__ = ("threads", "next_tid", "steps", "seq", "flushes",
-                 "history", "memory", "model")
+                 "history", "memory", "model", "runnable", "blocked_join")
 
 
 class VM:
@@ -186,6 +186,8 @@ class VM:
         snap.flushes = self.flushes
         snap.memory = self.memory.snapshot()
         snap.model = self.model.snapshot()
+        snap.runnable = set(self._runnable)
+        snap.blocked_join = dict(self._blocked_join)
         return snap
 
     def restore(self, snap: VMSnapshot, consume: bool = False) -> None:
@@ -199,26 +201,21 @@ class VM:
         if consume:
             self.history = snap.history
             self.threads = snap.threads
+            self._runnable = snap.runnable
+            self._blocked_join = snap.blocked_join
         else:
             history, opmap = snap.history.clone()
             self.history = history
             self.threads = {tid: thread.clone(opmap)
                             for tid, thread in snap.threads.items()}
+            self._runnable = set(snap.runnable)
+            self._blocked_join = dict(snap.blocked_join)
         self._next_tid = snap.next_tid
         self.steps = snap.steps
         self.seq = snap.seq
         self.flushes = snap.flushes
         self.memory.restore(snap.memory, consume=consume)
         self.model.restore(snap.model)
-        runnable = set()
-        blocked: Dict[int, int] = {}
-        for tid, thread in self.threads.items():
-            if thread.status is ThreadStatus.RUNNABLE:
-                runnable.add(tid)
-            elif thread.status is ThreadStatus.BLOCKED_JOIN:
-                blocked[tid] = thread.join_target
-        self._runnable = runnable
-        self._blocked_join = blocked
 
     # ------------------------------------------------------------------
     # Memory plumbing

@@ -57,9 +57,18 @@ class Frame:
 
 
 class Thread:
-    """A VM thread: a stack of frames plus scheduling status."""
+    """A VM thread: a stack of frames plus scheduling status.
 
-    __slots__ = ("tid", "frames", "status", "join_target", "result")
+    ``key`` and ``step_option`` cache the thread's component of the
+    explorer's canonical state key and its "step this thread" branch
+    option (``None`` until computed).  Both depend only on this thread's
+    own state.  The VM never reads or clears them; the explorer clears
+    them whenever it runs the thread, and snapshots carry them along
+    with the state they describe.
+    """
+
+    __slots__ = ("tid", "frames", "status", "join_target", "result",
+                 "key", "step_option")
 
     def __init__(self, tid: int) -> None:
         self.tid = tid
@@ -67,6 +76,8 @@ class Thread:
         self.status = ThreadStatus.RUNNABLE
         self.join_target: Optional[int] = None
         self.result: Optional[int] = None
+        self.key: Optional[tuple] = None
+        self.step_option: Optional[tuple] = None
 
     def clone(self, opmap: Optional[Dict[int, Operation]] = None) -> "Thread":
         """Deep copy of the thread's execution state (VM snapshots)."""
@@ -76,6 +87,8 @@ class Thread:
         thread.status = self.status
         thread.join_target = self.join_target
         thread.result = self.result
+        thread.key = self.key
+        thread.step_option = self.step_option
         return thread
 
     @property

@@ -1,0 +1,87 @@
+"""Exploration counters: the same search as before, cut leaves counted,
+and snapshot sizes that do not depend on the VM backend.
+
+The state-key and step-option caches must leave every cache and
+sleep-set decision as it was, so the ``sleep+cache`` counters are
+pinned to the values the uncached explorer produced.
+"""
+
+import pytest
+
+from perfbench.litmus_inputs import SB3_SOURCE
+from repro.litmus import LITMUS_TESTS, thread_results
+from repro.minic import compile_source
+from repro.obs.recorder import Recorder
+from repro.sched.explorer import explore
+
+#: (program, model) -> (paths, pruned, cache_hits, cache_states) at the
+#: default ``sleep+cache`` reduction.
+PINNED = {
+    ("sb", "sc"): (3, 2, 9, 32),
+    ("sb", "tso"): (6, 37, 55, 84),
+    ("sb", "pso"): (6, 37, 55, 84),
+    ("mp", "sc"): (2, 1, 6, 21),
+    ("mp", "tso"): (3, 8, 22, 39),
+    ("mp", "pso"): (6, 19, 41, 60),
+    ("2+2w", "pso"): (4, 73, 132, 139),
+    ("sb3", "tso"): (12, 1123, 1380, 799),
+    ("sb3", "pso"): (12, 1123, 1380, 799),
+}
+
+#: A spin loop that never ends.  The counter makes every iteration a new
+#: state, so the state cache cannot close the loop and each path runs
+#: into the step limit.
+SPIN_SOURCE = """
+int F;
+int t1() { int i = 0; while (F == 0) { i = i + 1; } return i; }
+int main() {
+  int t = fork(t1);
+  join(t);
+  return 0;
+}
+"""
+
+
+def _module(name):
+    if name == "sb3":
+        return compile_source(SB3_SOURCE, "sb3")
+    return LITMUS_TESTS[name].compile()
+
+
+@pytest.mark.parametrize("name,model", sorted(PINNED))
+def test_same_search_as_uncached_explorer(name, model):
+    stats = explore(_module(name), model, outcome_fn=thread_results).stats
+    assert (stats.paths, stats.pruned, stats.cache_hits,
+            stats.cache_states) == PINNED[name, model]
+
+
+def test_step_limited_counts_cut_leaves():
+    result = explore(compile_source(SPIN_SOURCE, "spin"), "tso",
+                     outcome_fn=thread_results, max_steps=40)
+    stats = result.stats
+    assert stats.step_limited > 0
+    assert stats.step_limited <= stats.paths
+    assert stats.as_dict()["step_limited"] == stats.step_limited
+    recorder = Recorder()
+    recorder.explore(stats)
+    counters = recorder.aggregates()["counters"]
+    assert counters["explore/step_limited"] == stats.step_limited
+
+
+@pytest.mark.parametrize("name", sorted(LITMUS_TESTS))
+@pytest.mark.parametrize("model", ["sc", "tso", "pso"])
+def test_catalog_has_no_step_limited_leaves(name, model):
+    result = explore(LITMUS_TESTS[name].compile(), model,
+                     outcome_fn=thread_results)
+    assert result.stats.step_limited == 0
+
+
+def test_snapshot_bytes_same_on_both_backends(vm_backend):
+    sizes = {}
+    for compiled in (True, False):
+        vm_backend(compiled)
+        stats = explore(LITMUS_TESTS["sb"].compile(), "tso",
+                        outcome_fn=thread_results).stats
+        sizes[compiled] = stats.snapshot_bytes
+    assert sizes[True] > 0
+    assert sizes[True] == sizes[False]
