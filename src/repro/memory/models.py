@@ -344,13 +344,6 @@ class PSOModel(StoreBufferModel):
         # tid -> addr -> deque of (value, label)
         self._buffers: Dict[int, Dict[int, Deque[Tuple[int, int]]]] = {}
 
-    def _thread_buffers(self, tid: int) -> Dict[int, Deque[Tuple[int, int]]]:
-        bufs = self._buffers.get(tid)
-        if bufs is None:
-            bufs = {}
-            self._buffers[tid] = bufs
-        return bufs
-
     def _report_bypasses(self, tid: int, addr: int, label: int,
                          kind: FenceKind) -> None:
         if self.sink is None:
@@ -365,17 +358,21 @@ class PSOModel(StoreBufferModel):
                 self.sink.add(pending_label, label, kind)
 
     def read(self, tid, addr, label):
-        self._report_bypasses(tid, addr, label, FenceKind.ST_LD)
         bufs = self._buffers.get(tid)
-        if bufs:
-            entries = bufs.get(addr)
-            if entries:
-                return (True, entries[-1][0])
+        if not bufs:
+            return (False, 0)
+        self._report_bypasses(tid, addr, label, FenceKind.ST_LD)
+        entries = bufs.get(addr)
+        if entries:
+            return (True, entries[-1][0])
         return (False, 0)
 
     def write(self, tid, addr, value, label):
-        self._report_bypasses(tid, addr, label, FenceKind.ST_ST)
-        bufs = self._thread_buffers(tid)
+        bufs = self._buffers.get(tid)
+        if bufs:
+            self._report_bypasses(tid, addr, label, FenceKind.ST_ST)
+        elif bufs is None:
+            bufs = self._buffers[tid] = {}
         entries = bufs.get(addr)
         if entries is None:
             entries = deque()
@@ -408,7 +405,8 @@ class PSOModel(StoreBufferModel):
         bufs = self._buffers.get(tid)
         if not bufs:
             return _EMPTY_LIST
-        return sorted(addr for addr, entries in bufs.items() if entries)
+        # flush_one deletes a buffer once it empties: every key pends.
+        return sorted(bufs)
 
     def pending_count(self, tid):
         bufs = self._buffers.get(tid)

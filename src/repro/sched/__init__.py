@@ -1,10 +1,12 @@
 """Scheduler plug-ins controlling thread interleaving and flushing.
 
 The paper's key exploration device is the *flush-delaying demonic
-scheduler* (:class:`FlushDelayScheduler`): it randomly interleaves threads
-and, whenever the selected thread has buffered stores, flushes with a
-user-supplied *flush probability* — low probabilities keep stores buffered
-long and expose relaxed behaviours, high probabilities approach SC.
+scheduler* (:class:`FlushDelayScheduler`): at each decision point, if any
+thread's store buffer is non-empty, it flushes with a user-supplied
+*flush probability* one store of a uniformly chosen pending thread (under
+PSO, of a uniformly chosen address); otherwise it steps a uniformly
+chosen enabled thread.  Low probabilities keep stores buffered long and
+expose relaxed behaviours, high probabilities approach SC.
 """
 
 from .base import Scheduler

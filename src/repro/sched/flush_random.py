@@ -2,11 +2,14 @@
 
 At each scheduling point:
 
-* an enabled thread is selected uniformly at random;
-* if the selected thread has buffered stores, the scheduler flushes one of
-  them with probability ``flush_prob`` (for PSO, choosing a random
-  per-variable buffer), otherwise the thread executes its next instruction;
-* partial-order reduction: once selected, a thread keeps running while its
+* if some thread has buffered stores (running, blocked or finished), then
+  with probability ``flush_prob`` — or always, when no thread is enabled —
+  the scheduler flushes one store of a uniformly chosen pending thread: the
+  head of its FIFO under TSO, the head of a uniformly chosen per-address
+  buffer under PSO;
+* otherwise a uniformly chosen enabled thread executes its next
+  instruction;
+* partial-order reduction: once stepped, a thread keeps running while its
   next instruction only touches thread-local state (registers / control
   flow), since such steps commute with every other thread.
 
@@ -18,7 +21,6 @@ The paper's tuned defaults are ~0.1 for TSO and ~0.5 for PSO.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from ..vm.interp import VM
 from .base import Scheduler
@@ -33,9 +35,12 @@ class FlushDelayScheduler(Scheduler):
 
     Args:
         seed: RNG seed (every execution is reproducible from its seed).
-        flush_prob: probability of flushing (vs stepping) when the selected
-            thread has pending buffered stores.
+        flush_prob: probability of flushing (vs stepping) at a decision
+            point where some thread has buffered stores.
         por: enable the local-access partial-order reduction.
+        trace: optional list collecting ("step", tid) /
+            ("flush", tid, addr) events for deterministic replay (see
+            :mod:`repro.sched.replay`).
     """
 
     def __init__(self, seed: int = 0, flush_prob: float = 0.5,
@@ -45,57 +50,84 @@ class FlushDelayScheduler(Scheduler):
         self.rng = random.Random(seed)
         self.flush_prob = flush_prob
         self.por = por
-        #: Optional list collecting ("step", tid) / ("flush", tid, addr)
-        #: events for deterministic replay (see repro.sched.replay).
         self.trace = trace
 
     def run(self, vm: VM) -> None:
+        # One decision costs the vm.step/vm.run_local calls, the chosen
+        # instruction and one RNG draw.  Indices are drawn exactly as
+        # ``Random.randrange(n)`` draws them (``_randbelow``: getrandbits
+        # of n's bit length, redrawn while out of range — also for
+        # n == 1), so seeds give the same schedules as a randrange loop.
         rng = self.rng
+        random_ = rng.random
+        getrandbits = rng.getrandbits
+        flush_prob = self.flush_prob
+        por = self.por
+        trace = self.trace
+        step = vm.step
+        run_local = vm.run_local
+        budget = MAX_LOCAL_RUN
+        model = vm.model
+        flush_one = model.flush_one
+        pending_addrs = model.pending_addrs if model.name == "pso" else None
+        # Mutated in place by the VM and the model for the whole run;
+        # only VM.restore rebinds them, and a random run never restores.
+        runnable = vm._runnable
+        blocked_join = vm._blocked_join
+        # Flushing is a memory-system action: any thread's buffers may
+        # flush, including threads blocked in join or already finished
+        # (otherwise a blocked producer could starve a spinning consumer
+        # forever).
+        pending = model._pending_tids
         while True:
-            enabled = vm.enabled_tids()
-            # Flushing is a memory-system action: any thread's buffers may
-            # flush, including threads blocked in join or already finished
-            # (otherwise a blocked producer could starve a spinning
-            # consumer forever).
-            pending = vm.tids_with_pending()
-            if not enabled:
-                if pending:
-                    self._flush_step(vm, pending[rng.randrange(len(pending))])
+            enabled = vm.enabled_tids() if blocked_join else runnable
+            if pending:
+                if not enabled or random_() < flush_prob:
+                    n = len(pending)
+                    k = n.bit_length()
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    if n > 1:
+                        tid = sorted(pending)[r]
+                    else:
+                        (tid,) = pending
+                    addr = None
+                    if pending_addrs is not None:
+                        # PSO: the head of a random per-address buffer.
+                        # TSO needs no address: a pending thread's FIFO
+                        # always has a head.
+                        addrs = pending_addrs(tid)
+                        if not addrs:  # the n == 0 draw would never end
+                            continue
+                        n = len(addrs)
+                        k = n.bit_length()
+                        r = getrandbits(k)
+                        while r >= n:
+                            r = getrandbits(k)
+                        addr = addrs[r]
+                    if flush_one(tid, addr) and trace is not None:
+                        trace.append(("flush", tid, addr))
                     continue
+            elif not enabled:
                 self._check_deadlock(vm)
                 self._finish(vm)
                 return
-            if pending and rng.random() < self.flush_prob:
-                self._flush_step(vm, pending[rng.randrange(len(pending))])
-                continue
-            tid = enabled[rng.randrange(len(enabled))] \
-                if len(enabled) > 1 else enabled[0]
-            self._step(vm, tid)
-            if self.por:
-                self._run_local(vm, tid)
-
-    def _step(self, vm: VM, tid: int) -> None:
-        if self.trace is not None:
-            self.trace.append(("step", tid))
-        vm.step(tid)
-
-    def _flush_step(self, vm: VM, tid: int) -> None:
-        addrs = vm.model.pending_addrs(tid)
-        if not addrs:
-            return
-        # PSO: pick a random per-variable buffer; TSO: pending_addrs lists
-        # the FIFO queue, whose head is the only flushable entry.
-        if vm.model.name == "pso":
-            addr: Optional[int] = addrs[self.rng.randrange(len(addrs))]
-        else:
-            addr = None
-        if vm.flush_one(tid, addr) and self.trace is not None:
-            self.trace.append(("flush", tid, addr))
-
-    def _run_local(self, vm: VM, tid: int) -> None:
-        # The burst is budget-counted in underlying instructions on both
-        # VM backends (the compiled VM executes it as superinstructions),
-        # so schedules — and therefore RNG draws — are backend-independent.
-        executed = vm.run_local(tid, MAX_LOCAL_RUN)
-        if executed and self.trace is not None:
-            self.trace.extend(("step", tid) for _ in range(executed))
+            n = len(enabled)
+            if n > 1:
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                tid = sorted(enabled)[r]
+            else:
+                (tid,) = enabled
+            if trace is not None:
+                trace.append(("step", tid))
+            step(tid)
+            if por:
+                # The burst is budget-counted in underlying instructions on
+                # both VM backends, so schedules are backend-independent.
+                executed = run_local(tid, budget)
+                if executed and trace is not None:
+                    trace.extend([("step", tid)] * executed)

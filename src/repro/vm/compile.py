@@ -18,6 +18,10 @@ is lowered *once* into a dense list of specialized Python closures —
   fused into *superinstruction* closures, executed back to back without
   re-entering the step loop.
 
+Every instruction class has its own template, call and return included,
+except fork/join and page allocation: those delegate to the
+interpreter's handlers (see :func:`_compile_delegate`).
+
 Superinstructions never change what a scheduler can observe: only
 thread-local register ops are fused, and they are only executed in bulk
 inside :meth:`CompiledVM.run_local` — the partial-order-reduction burst
@@ -66,6 +70,12 @@ from .state import Frame, Thread, ThreadStatus
 
 #: A compiled instruction: executes its op(s) and sets ``frame.ip``.
 Closure = Callable[["CompiledVM", Thread, Frame], None]
+
+#: Thread statuses as module globals: the hot paths compare against
+#: these instead of looking the enum members up on every step.
+_RUNNABLE = ThreadStatus.RUNNABLE
+_BLOCKED_JOIN = ThreadStatus.BLOCKED_JOIN
+_FINISHED = ThreadStatus.FINISHED
 
 #: Pure register-op classes eligible for superinstruction fusion.
 _FUSABLE = frozenset((ins.ConstInstr, ins.Mov, ins.BinOp, ins.UnOp))
@@ -367,7 +377,7 @@ def _compile_load(instr: ins.Load, nxt: int) -> Closure:
             memory = vm.memory
             memory.check(addr, "load", tid, label)
             hit, value = vm.model.read(tid, addr, label)
-            regs[dst] = value if hit else memory.read(addr)
+            regs[dst] = value if hit else memory.cells.get(addr, 0)
             frame.ip = nxt
     else:
         ga = _thunk(kind, payload)
@@ -378,7 +388,7 @@ def _compile_load(instr: ins.Load, nxt: int) -> Closure:
             memory = vm.memory
             memory.check(addr, "load", tid, label)
             hit, value = vm.model.read(tid, addr, label)
-            frame.regs[dst] = value if hit else memory.read(addr)
+            frame.regs[dst] = value if hit else memory.cells.get(addr, 0)
             frame.ip = nxt
     return op
 
@@ -519,13 +529,72 @@ def _compile_nop(instr: ins.Nop, nxt: int) -> Closure:
     return op
 
 
+def _compile_call(instr: ins.Call) -> Closure:
+    """Push the callee's frame; the matching return advances the caller.
+
+    Same history record (call ``seq``), frame and argument binding as
+    :meth:`VM._do_call`, with the argument operands decoded once.
+    """
+    fn_name = instr.fn
+    ret_dst = instr.dst
+    operands = tuple(_operand(arg) for arg in instr.args)
+
+    def op(vm, thread, frame):
+        callee = vm.module.function(fn_name)
+        regs = frame.regs
+        args = [regs.get(payload, 0) if kind == "r" else
+                payload if kind == "c" else vm.memory.global_addr[payload]
+                for kind, payload in operands]
+        record = None
+        if fn_name in vm.operations:
+            record = vm.history.begin(thread.tid, fn_name, args, vm.seq)
+        new_frame = Frame(callee, ret_dst, record)
+        callee_regs = new_frame.regs
+        for param, value in zip(callee.params, args):
+            callee_regs[param] = value
+        thread.frames.append(new_frame)
+    return op
+
+
+def _compile_ret(instr: ins.Ret) -> Closure:
+    """Pop the frame, completing its history record, and hand the value
+    to the caller — or finish the thread (as :meth:`VM._do_ret`)."""
+    kind, payload = ("c", 0) if instr.value is None else _operand(instr.value)
+
+    def op(vm, thread, frame):
+        if kind == "r":
+            value = frame.regs.get(payload, 0)
+        elif kind == "c":
+            value = payload
+        else:
+            value = vm.memory.global_addr[payload]
+        record = frame.op_record
+        if record is not None:
+            record.result = value
+            record.ret_seq = vm.seq
+        frames = thread.frames
+        frames.pop()
+        if not frames:
+            thread.status = _FINISHED
+            thread.result = value
+            vm._runnable.discard(thread.tid)
+            return
+        caller = frames[-1]
+        ret_dst = frame.ret_dst
+        if ret_dst is not None:
+            caller.regs[ret_dst.name] = value
+        caller.ip += 1
+    return op
+
+
 def _compile_delegate(instr: ins.Instr) -> Closure:
     """Fallback template: reuse the audited generic handler.
 
-    Used for the frame- and thread-shape-changing instructions
-    (call/return, fork/join, page allocation) whose cost is dominated by
-    the operation itself, not operand decoding — delegation keeps their
-    semantics byte-for-byte the interpreter's by construction.
+    Used for fork/join and page allocation, whose cost is dominated by
+    the operation itself (spawning or draining a thread, updating the
+    region table), not operand decoding; they are also rare.  Delegation
+    keeps their semantics byte-for-byte the interpreter's by
+    construction.
     """
     handler = _DISPATCH.get(instr.__class__)
     if handler is None:
@@ -567,6 +636,10 @@ def _compile_instr(instr: ins.Instr, offset: int, fn: Function) -> Closure:
         return _compile_assert(instr, nxt)
     if cls is ins.Nop:
         return _compile_nop(instr, nxt)
+    if cls is ins.Call:
+        return _compile_call(instr)
+    if cls is ins.Ret:
+        return _compile_ret(instr)
     return _compile_delegate(instr)
 
 
@@ -736,20 +809,21 @@ class CompiledVM(VM):
     def step(self, tid: int) -> None:
         """Execute exactly one instruction of thread *tid* (compiled)."""
         thread = self.threads[tid]
-        if thread.status is ThreadStatus.FINISHED:
+        status = thread.status
+        if status is _FINISHED:
             raise InterpreterError("stepping finished thread %d" % tid)
 
-        self.steps += 1
-        if self.steps > self.max_steps:
+        steps = self.steps = self.steps + 1
+        if steps > self.max_steps:
             raise StepLimitExceeded(
                 "execution exceeded %d steps" % self.max_steps)
         self.seq += 1
 
-        if thread.status is ThreadStatus.BLOCKED_JOIN:
+        if status is _BLOCKED_JOIN:
             self._complete_join(thread)
             return
 
-        frame = thread.top
+        frame = thread.frames[-1]
         code = frame.handlers
         if code is None:
             code = frame.handlers = self._code_for(frame.fn)
@@ -769,47 +843,58 @@ class CompiledVM(VM):
         burst never executes more instructions than the reference would.
         """
         thread = self.threads[tid]
-        if thread.status is not ThreadStatus.RUNNABLE or not thread.frames:
+        if thread.status is not _RUNNABLE:
             return 0
-        frame = thread.top
+        frame = thread.frames[-1]
         code = frame.handlers
         if code is None:
             code = frame.handlers = self._code_for(frame.fn)
         local = code.local_assert if with_assert else code.local
+        if not local[frame.ip]:
+            return 0
         preferred = code.code
         singles = code.singles
         ops = code.ops
         labels = code.labels
         coverage = self.coverage
         max_steps = self.max_steps
+        # Local ops never read the counters, so they live in locals for
+        # the burst.  They are written back however the burst ends: an
+        # exception from inside a fused run leaves the whole run counted.
+        steps = self.steps
+        seq = self.seq
         executed = 0
-        while executed < budget:
-            ip = frame.ip
-            if not local[ip]:
-                break
-            cl = preferred[ip]
-            n = ops[ip]
-            if n > budget - executed:
-                cl = singles[ip]
-                n = 1
-            new_steps = self.steps + n
-            if new_steps > max_steps:
-                # The limit falls inside this batch: revert to exact
-                # per-op accounting so the exception is raised at the
-                # same instruction as the interpreter.
-                while True:
-                    self.steps += 1
-                    if self.steps > max_steps:
-                        raise StepLimitExceeded(
-                            "execution exceeded %d steps" % max_steps)
-                    self.seq += 1
-                    if coverage is not None:
-                        coverage.add(code.label_of[frame.ip])
-                    singles[frame.ip](self, thread, frame)
-            self.steps = new_steps
-            self.seq += n
-            if coverage is not None:
-                coverage.update(labels[ip])
-            cl(self, thread, frame)
-            executed += n
+        try:
+            while executed < budget:
+                ip = frame.ip
+                if not local[ip]:
+                    break
+                cl = preferred[ip]
+                n = ops[ip]
+                if n > budget - executed:
+                    cl = singles[ip]
+                    n = 1
+                new_steps = steps + n
+                if new_steps > max_steps:
+                    # The limit falls inside this batch: revert to exact
+                    # per-op accounting so the exception is raised at the
+                    # same instruction as the interpreter.
+                    while True:
+                        steps += 1
+                        if steps > max_steps:
+                            raise StepLimitExceeded(
+                                "execution exceeded %d steps" % max_steps)
+                        seq += 1
+                        if coverage is not None:
+                            coverage.add(code.label_of[frame.ip])
+                        singles[frame.ip](self, thread, frame)
+                steps = new_steps
+                seq += n
+                if coverage is not None:
+                    coverage.update(labels[ip])
+                cl(self, thread, frame)
+                executed += n
+        finally:
+            self.steps = steps
+            self.seq = seq
         return executed

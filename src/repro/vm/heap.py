@@ -13,7 +13,7 @@ delayed store flushing into a freed region is caught here.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ir.module import Module
@@ -57,7 +57,7 @@ class SharedMemory:
         return base
 
     def _add_region(self, base: int, size: int) -> None:
-        bisect.insort(self._region_bases, base)
+        insort(self._region_bases, base)
         self._region_sizes[base] = size
 
     # ------------------------------------------------------------------
@@ -83,7 +83,7 @@ class SharedMemory:
             raise MemorySafetyViolation(
                 "pagefree of %d which is not a live region base" % addr)
         del self._region_sizes[addr]
-        pos = bisect.bisect_left(self._region_bases, addr)
+        pos = bisect_left(self._region_bases, addr)
         del self._region_bases[pos]
         self._fp = None
 
@@ -94,7 +94,7 @@ class SharedMemory:
         """True if ``addr`` falls inside some live region."""
         if addr < NULL_GUARD:
             return False
-        pos = bisect.bisect_right(self._region_bases, addr) - 1
+        pos = bisect_right(self._region_bases, addr) - 1
         if pos < 0:
             return False
         base = self._region_bases[pos]
@@ -102,13 +102,22 @@ class SharedMemory:
 
     def check(self, addr: int, what: str, tid: Optional[int] = None,
               label: Optional[int] = None) -> None:
-        """Raise :class:`MemorySafetyViolation` if ``addr`` is invalid."""
-        if not self.is_valid(addr):
-            kind = "NULL dereference" if addr < NULL_GUARD else "out-of-bounds/freed access"
-            raise MemorySafetyViolation(
-                "%s: %s at address %d (label L%s, thread %s)"
-                % (kind, what, addr, label, tid),
-                tid=tid, label=label)
+        """Raise :class:`MemorySafetyViolation` if ``addr`` is invalid.
+
+        :meth:`is_valid`, inlined: this runs on every load, CAS and flush.
+        """
+        if addr >= NULL_GUARD:
+            bases = self._region_bases
+            pos = bisect_right(bases, addr) - 1
+            if pos >= 0:
+                base = bases[pos]
+                if addr < base + self._region_sizes[base]:
+                    return
+        kind = "NULL dereference" if addr < NULL_GUARD else "out-of-bounds/freed access"
+        raise MemorySafetyViolation(
+            "%s: %s at address %d (label L%s, thread %s)"
+            % (kind, what, addr, label, tid),
+            tid=tid, label=label)
 
     # ------------------------------------------------------------------
     # Access (validity already checked by callers where required)
@@ -163,7 +172,7 @@ class SharedMemory:
 
     def region_of(self, addr: int) -> Optional[Tuple[int, int]]:
         """The (base, size) of the live region containing ``addr``."""
-        pos = bisect.bisect_right(self._region_bases, addr) - 1
+        pos = bisect_right(self._region_bases, addr) - 1
         if pos < 0:
             return None
         base = self._region_bases[pos]

@@ -485,11 +485,9 @@ class VM:
             self._runnable.discard(thread.tid)
             return
         caller = thread.top
-        call_instr = caller.fn.body[caller.ip]
         if frame.ret_dst is not None:
             caller.regs[frame.ret_dst.name] = value
         caller.ip += 1
-        del call_instr  # caller ip advanced past the call
 
 
 # ----------------------------------------------------------------------

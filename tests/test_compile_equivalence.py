@@ -20,7 +20,7 @@ import os
 import pytest
 
 from repro.fuzz.generator import ProgramGenerator
-from repro.ir.instructions import FenceKind, Store
+from repro.ir.instructions import BinOp, FenceKind, Store
 from repro.ir.passes.fences import insert_fence_after
 from repro.litmus import LITMUS_TESTS, thread_results
 from repro.memory.models import make_model
@@ -36,6 +36,7 @@ from repro.vm.compile import (
     compile_stats_delta,
 )
 from repro.vm.driver import run_execution
+from repro.vm.errors import InterpreterError
 
 MODELS = ["sc", "tso", "pso"]
 FAST_LITMUS = ["sb", "mp", "coww", "sb_one_fence"]
@@ -238,6 +239,38 @@ def test_compiled_backend_fuses_superinstructions():
     vm = CompiledVM(module, make_model("sc"), max_steps=500)
     code = vm._code_for(module.functions["main"])
     assert any(n > 1 for n in code.ops)
+
+
+DIV_ZERO = """
+int Z;
+int main() {
+  int z = Z;
+  int a = z + 1;
+  int b = a / z;
+  int c = b + 2;
+  return c;
+}
+"""
+
+
+def test_error_inside_fused_run_counts_the_whole_run():
+    """The documented divergence: a division by zero inside a
+    superinstruction leaves steps/seq counting the whole fused run (the
+    burst keeps them in locals and writes them back on the way out),
+    and the ip at the failing instruction."""
+    module = compile_source(DIV_ZERO, "div")
+    vm = CompiledVM(module, make_model("sc"), max_steps=500)
+    frame = vm.threads[0].frames[-1]
+    code = vm._code_for(module.functions["main"])
+    vm.step(0)  # the load of Z
+    run = code.ops[frame.ip]
+    assert run > 1
+    steps, seq = vm.steps, vm.seq
+    with pytest.raises(InterpreterError, match="division by zero"):
+        vm.run_local(0, 64)
+    assert (vm.steps, vm.seq) == (steps + run, seq + run)
+    assert isinstance(frame.fn.body[frame.ip], BinOp)
+    assert frame.fn.body[frame.ip].binop == "div"
 
 
 # ----------------------------------------------------------------------
