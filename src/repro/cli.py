@@ -287,15 +287,23 @@ def _explore(args) -> int:
                          "(%s)" % ", ".join(sorted(LITMUS_TESTS)))
 
     truncated = []
+    step_limited = []
     for model in ("sc", "tso", "pso"):
         result = explore(module, model, outcome_fn=thread_results,
                          max_paths=args.max_paths,
                          reduction=args.reduction)
-        status = "exact" if result.complete else "BUDGET EXHAUSTED"
+        stats = result.stats
+        if not result.complete:
+            status = "BUDGET EXHAUSTED"
+            truncated.append(model.upper())
+        elif not result.exact:
+            status = "STEP LIMIT HIT (%d leaves)" % stats.step_limited
+            step_limited.append(model.upper())
+        else:
+            status = "exact"
         outcomes = ", ".join(str(o) for o in sorted(result.outcomes))
         print("%-4s (%6d paths, %s): %s"
               % (model.upper(), result.paths, status, outcomes))
-        stats = result.stats
         if stats is not None and stats.estimated_unreduced > stats.paths:
             print("     reduction: >=%d unreduced paths (%.1fx; "
                   "%d slept, %d cache hits)"
@@ -304,13 +312,16 @@ def _explore(args) -> int:
                      stats.pruned, stats.cache_hits))
         for violation in sorted(result.violations):
             print("     violation: %s" % violation[:100])
-        if not result.complete:
-            truncated.append(model.upper())
     if truncated:
         print("warning: path budget (%d) exhausted under %s — those "
               "outcome sets are lower bounds, not exact; rerun with a "
               "larger --max-paths" % (args.max_paths, ", ".join(truncated)),
               file=sys.stderr)
+    if step_limited:
+        print("warning: the step limit cut paths under %s — those "
+              "outcome sets are lower bounds, not exact"
+              % ", ".join(step_limited), file=sys.stderr)
+    if truncated or step_limited:
         return 3
     return 0
 

@@ -17,9 +17,9 @@ the scheduler, or the synthesis engine — never in the generated program:
    a program whose relaxed outcomes exceed SC must yield a repaired
    module that exhaustively admits no non-SC outcome.
 
-Explorations that blow the path budget make the affected oracles
-*inconclusive* (recorded, never failed): a partial outcome set proves
-nothing either way.
+Explorations that blow the path budget, or whose paths the step limit
+cut, make the affected oracles *inconclusive* (recorded, never failed):
+a partial outcome set proves nothing either way.
 
 All oracles accept a ``model_factory`` so tests can swap in deliberately
 broken models and watch the right oracle catch them.
@@ -177,8 +177,8 @@ class OracleReport:
 
     def __init__(self) -> None:
         self.failures: List[OracleFailure] = []
-        #: (oracle, model) pairs whose exploration hit the path budget —
-        #: inconclusive, not failing.
+        #: (oracle, model) pairs whose exploration hit the path budget or
+        #: the step limit — inconclusive, not failing.
         self.inconclusive: List[Tuple[str, str]] = []
         #: model name -> exhaustive outcome set (as explored).
         self.outcomes: Dict[str, OutcomeSet] = {}
@@ -244,7 +244,9 @@ class _Checker:
 
         Draws on the per-program total path budget: once a heavy seed
         has burned it, remaining explorations are inconclusive rather
-        than letting one program stall the whole campaign.
+        than letting one program stall the whole campaign.  An
+        exploration that is not exact — budget exhausted, or a path cut
+        by the step limit — is inconclusive too.
         """
         cfg = self.cfg
         remaining = cfg.max_total_paths - self.report.paths
@@ -262,7 +264,7 @@ class _Checker:
             self.report.pruned += result.stats.pruned
             self.report.cache_hits += result.stats.cache_hits
             self.report.estimated_unreduced += result.stats.estimated_unreduced
-        if not result.complete:
+        if not result.exact:
             self.report.inconclusive.append((oracle, model))
             return None
         return result

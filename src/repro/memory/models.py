@@ -49,6 +49,10 @@ class StoreBufferModel:
         #: mutation goes through ``_note_push``/``_note_pop``/``reset``,
         #: which clear it, so subclasses stay consistent for free.
         self._fp = None
+        #: The explorer's flush branch options for the current buffers
+        #: (None when stale): cleared together with ``_fp`` and carried
+        #: through snapshot/restore the same way.
+        self.flush_options = None
 
     def attach(self, commit: CommitFn,
                sink: Optional[PredicateSink] = None) -> None:
@@ -124,17 +128,19 @@ class StoreBufferModel:
     # may be restored many times (fork-and-backtrack DFS), so restore
     # always rebuilds fresh mutable containers.  ``fingerprint()`` is a
     # canonical hashable encoding of the buffers for state dedup; the
-    # snapshot carries its cached value (last element) along.
+    # snapshot carries its cached value and the cached flush options
+    # (the last two elements) along.
 
     def snapshot(self):
         return (self.depth_hwm, dict(self._depths),
-                self._buffers_snapshot(), self._fp)
+                self._buffers_snapshot(), self._fp, self.flush_options)
 
     def restore(self, state) -> None:
         self.depth_hwm = state[0]
         self._depths = dict(state[1])
         self._buffers_restore(state[2])
         self._fp = state[3]
+        self.flush_options = state[4]
 
     def _buffers_snapshot(self):
         return None
@@ -169,14 +175,14 @@ class StoreBufferModel:
         depth = self._depths.get(tid, 0) + 1
         self._depths[tid] = depth
         self._pending_tids.add(tid)
-        self._fp = None
+        self._fp = self.flush_options = None
         if depth > self.depth_hwm:
             self.depth_hwm = depth
 
     def _note_pop(self, tid: int) -> None:
         depth = self._depths[tid] - 1
         self._depths[tid] = depth
-        self._fp = None
+        self._fp = self.flush_options = None
         if depth <= 0:
             self._pending_tids.discard(tid)
 
@@ -313,7 +319,7 @@ class TSOModel(StoreBufferModel):
         self._buffers.clear()
         self._pending_tids.clear()
         self._reset_depths()
-        self._fp = None
+        self._fp = self.flush_options = None
 
     def _buffers_snapshot(self):
         return {tid: tuple(buf)
@@ -444,7 +450,7 @@ class PSOModel(StoreBufferModel):
         self._buffers.clear()
         self._pending_tids.clear()
         self._reset_depths()
-        self._fp = None
+        self._fp = self.flush_options = None
 
     def _buffers_snapshot(self):
         return {tid: {addr: tuple(entries)

@@ -42,7 +42,8 @@ may explore outcomes past a step horizon the replay baseline stops at.
 All catalog litmus tests and generated fuzz programs have bounded loops,
 where budget ``max_steps`` is never the binding constraint.
 ``ExploreStats.step_limited`` counts the leaves the step limit cut (they
-are also counted in ``paths``).
+are also counted in ``paths``); a result with any such leaf is not
+``exact``.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ class ExplorationResult:
     """Outcome set of an exhaustive exploration.
 
     ``stats`` carries the :class:`ExploreStats` reduction counters; the
-    test-side replay reference leaves it ``None``.
+    test-side replay reference leaves it ``None``.  ``complete`` means
+    the path budget was not exhausted; :attr:`exact` additionally
+    requires that no leaf was cut by the step limit.
     """
 
     def __init__(self, outcomes: Set[Tuple], paths: int,
@@ -103,6 +106,13 @@ class ExplorationResult:
         self.complete = complete
         self.violations = violations
         self.stats = stats
+
+    @property
+    def exact(self) -> bool:
+        """True iff the outcome set is exact, not a lower bound: the
+        search completed and the step limit cut no leaf."""
+        return (self.complete and self.stats is not None
+                and self.stats.step_limited == 0)
 
     def __repr__(self) -> str:
         return "<ExplorationResult %d outcomes, %d paths%s, %d violations>" \
@@ -169,7 +179,8 @@ def _advance_local(vm: VM) -> List[int]:
     stopped short stays stopped.  Only a burst that used its whole
     budget may have more to run, and then the sweep repeats.  Every
     thread that ran clears its cached state-key component and step
-    option.
+    option.  A thread whose step option is cached has not run since
+    :func:`_options` saw it at a non-local op, so it is skipped.
 
     Returns the enabled tids, which the sweep leaves unchanged.
     """
@@ -179,8 +190,11 @@ def _advance_local(vm: VM) -> List[int]:
         again = False
         enabled = vm.enabled_tids()
         for tid in enabled:
+            if threads[tid].step_option is not None:
+                continue
             executed = vm.run_local(tid, _LOCAL_BURST, with_assert=True)
             if executed:
+                # The thread the VM owns now: run_local may have cloned it.
                 thread = threads[tid]
                 thread.key = thread.step_option = None
                 if executed == _LOCAL_BURST:
@@ -212,10 +226,17 @@ def _step_footprint(vm: VM, thread: Thread) -> Footprint:
     return _GLOBAL_FP
 
 
+#: Flush footprints memoised per address.
+_FLUSH_FPS: Dict[int, Footprint] = {}
+
+
 def _flush_footprint(addr: Optional[int]) -> Footprint:
     if addr is None:
         return _GLOBAL_FP  # unknown target: be conservative
-    return (False, _EMPTY, frozenset((addr,)))
+    fp = _FLUSH_FPS.get(addr)
+    if fp is None:
+        fp = _FLUSH_FPS[addr] = (False, _EMPTY, frozenset((addr,)))
+    return fp
 
 
 def _conflict(a: Footprint, b: Footprint) -> bool:
@@ -240,6 +261,9 @@ def _options(vm: VM, enabled: List[int]) -> List[Option]:
 
     A thread's step option depends only on its own state, so it is
     cached in ``Thread.step_option`` and cleared with ``Thread.key``.
+    The flush options depend only on the store buffers, so they are
+    cached in ``StoreBufferModel.flush_options``, cleared with the
+    buffer fingerprint.
     """
     threads = vm.threads
     opts: List[Option] = []
@@ -252,6 +276,16 @@ def _options(vm: VM, enabled: List[int]) -> List[Option]:
                                         _step_footprint(vm, thread))
         opts.append(opt)
     model = vm.model
+    flushes = model.flush_options
+    if flushes is None:
+        flushes = model.flush_options = _flush_options(model)
+    opts.extend(flushes)
+    return opts
+
+
+def _flush_options(model: StoreBufferModel) -> Tuple[Option, ...]:
+    """One option per flushable buffer, threads ascending."""
+    opts: List[Option] = []
     pending = model.pending_tids()
     if model.name == "pso":
         for tid in pending:
@@ -263,7 +297,7 @@ def _options(vm: VM, enabled: List[int]) -> List[Option]:
             head = model.head_addr(tid)
             opts.append((("flush", tid, None), ("flush", tid, head),
                          _flush_footprint(head)))
-    return opts
+    return tuple(opts)
 
 
 # ----------------------------------------------------------------------
@@ -280,14 +314,17 @@ def _state_key(vm: VM) -> Tuple:
     Each component is cached next to the state it describes — a
     thread's tuple in ``Thread.key``, memory and buffer fingerprints in
     their owners — and rebuilt only after that state changed, so a DFS
-    edge re-keys one thread, or one buffer plus memory.
+    edge re-keys one thread, or one buffer plus memory.  ``vm.threads``
+    is in insertion order, which is tid order: threads are spawned with
+    ascending tids, and neither cloning nor restore reorders the table.
     """
     keys = []
-    for tid, thread in sorted(vm.threads.items()):
+    for thread in vm.threads.values():
         key = thread.key
         if key is None:
             key = thread.key = (
-                tid, thread.status.value, thread.join_target, thread.result,
+                thread.tid, thread.status.value, thread.join_target,
+                thread.result,
                 tuple((frame.fn.name, frame.ip,
                        tuple(sorted(frame.regs.items())))
                       for frame in thread.frames))
@@ -350,13 +387,19 @@ class _Search:
             choice, ident, fp = node.branch[node.index]
             node.index += 1
             if node.needs_restore:
-                vm.restore(node.snap, consume=node.index >= len(node.branch))
+                vm.restore(node.snap)
                 stats.restores += 1
             node.needs_restore = True
             if self.use_sleep:
-                child_sleep = {i: f for i, f in node.sleep.items()
-                               if not _conflict(f, fp)}
-                node.sleep[ident] = fp
+                sleep = node.sleep
+                if sleep and not fp[0]:
+                    child_sleep = {i: f for i, f in sleep.items()
+                                   if not _conflict(f, fp)}
+                else:
+                    # Nothing slept, or a global action, which conflicts
+                    # with every slept one.
+                    child_sleep = {}
+                sleep[ident] = fp
             else:
                 child_sleep = node.sleep
             enabled = self._edge(choice)
@@ -382,9 +425,13 @@ class _Search:
             if choice is None:
                 pass
             elif choice[0] == "step":
-                thread = vm.threads[choice[1]]
+                tid = choice[1]
+                vm.step(tid)
+                # Cleared after the step, on the thread the VM owns: the
+                # thread before the step may be shared with a snapshot,
+                # whose cached values must survive.
+                thread = vm.threads[tid]
                 thread.key = thread.step_option = None
-                vm.step(choice[1])
             else:
                 vm.flush_one(choice[1], choice[2])
             return _advance_local(vm)
@@ -446,16 +493,17 @@ def _snapshot_size(snap: VMSnapshot) -> int:
 
     Functions are named, not pickled (they are shared, not copied), and
     the explorer's caches — the per-frame dispatch cache, ``Thread.key``
-    and ``Thread.step_option``, and the memory and buffer fingerprints
-    (last element of their snapshots) — are left out, so both VM
-    backends report the same size.
+    and ``Thread.step_option``, the memory fingerprint (last element of
+    its snapshot), and the buffer fingerprint and flush options (last
+    two elements of the model's) — are left out, so both VM backends
+    report the same size.
     """
     threads = [(t.tid, t.status.value, t.join_target, t.result,
-                [(f.fn.name, f.ip, f.regs, f.ret_dst, f.op_record)
+                [(f.fn.name, f.ip, f.regs, f.ret_dst, f.op_index)
                  for f in t.frames])
                for t in snap.threads.values()]
     payload = (threads, snap.next_tid, snap.steps, snap.seq, snap.flushes,
-               snap.history, snap.memory[:-1], snap.model[:-1],
+               snap.history, snap.memory[:-1], snap.model[:-2],
                snap.runnable, snap.blocked_join)
     return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 

@@ -545,10 +545,12 @@ def _compile_call(instr: ins.Call) -> Closure:
         args = [regs.get(payload, 0) if kind == "r" else
                 payload if kind == "c" else vm.memory.global_addr[payload]
                 for kind, payload in operands]
-        record = None
+        op_index = None
         if fn_name in vm.operations:
-            record = vm.history.begin(thread.tid, fn_name, args, vm.seq)
-        new_frame = Frame(callee, ret_dst, record)
+            history = vm.history
+            history.begin(thread.tid, fn_name, args, vm.seq)
+            op_index = len(history) - 1
+        new_frame = Frame(callee, ret_dst, op_index)
         callee_regs = new_frame.regs
         for param, value in zip(callee.params, args):
             callee_regs[param] = value
@@ -568,8 +570,9 @@ def _compile_ret(instr: ins.Ret) -> Closure:
             value = payload
         else:
             value = vm.memory.global_addr[payload]
-        record = frame.op_record
-        if record is not None:
+        op_index = frame.op_index
+        if op_index is not None:
+            record = vm.history.operations[op_index]
             record.result = value
             record.ret_seq = vm.seq
         frames = thread.frames
@@ -793,7 +796,8 @@ class CompiledVM(VM):
     are inherited unchanged — compiled code is pure per-function data
     shared across frames and snapshots, and every offset keeps a
     single-op closure, so a restore into the middle of a fused run
-    resumes one op at a time.
+    resumes one op at a time.  ``step``/``run_local`` clone a thread
+    shared with a snapshot before they mutate it, as ``VM.step`` does.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -818,6 +822,8 @@ class CompiledVM(VM):
             raise StepLimitExceeded(
                 "execution exceeded %d steps" % self.max_steps)
         self.seq += 1
+        if thread.epoch != self._generation:
+            thread = self._own(tid)
 
         if status is _BLOCKED_JOIN:
             self._complete_join(thread)
@@ -852,6 +858,9 @@ class CompiledVM(VM):
         local = code.local_assert if with_assert else code.local
         if not local[frame.ip]:
             return 0
+        if thread.epoch != self._generation:
+            thread = self._own(tid)
+            frame = thread.frames[-1]
         preferred = code.code
         singles = code.singles
         ops = code.ops

@@ -57,22 +57,22 @@ class History:
         self.operations.append(op)
         return op
 
-    def clone(self) -> Tuple["History", dict]:
-        """Deep copy for VM snapshots.
+    def copy(self) -> "History":
+        """Copy for VM snapshots.
 
-        Returns ``(history, opmap)`` where ``opmap`` maps ``id(original)``
-        to the cloned :class:`Operation`, so frames holding in-flight
-        ``op_record`` references can be remapped onto the copies.
+        Completed operations are never mutated again, so the copy shares
+        them; only in-flight ones (which a return completes in place,
+        through the frame's ``op_index``) are cloned.
         """
         history = History()
-        opmap: dict = {}
+        operations = history.operations
         for op in self.operations:
-            clone = Operation(op.tid, op.name, op.args, op.call_seq)
-            clone.result = op.result
-            clone.ret_seq = op.ret_seq
-            history.operations.append(clone)
-            opmap[id(op)] = clone
-        return history, opmap
+            if op.ret_seq is None:
+                clone = Operation(op.tid, op.name, op.args, op.call_seq)
+                clone.result = op.result
+                op = clone
+            operations.append(op)
+        return history
 
     def complete_ops(self) -> List[Operation]:
         return [op for op in self.operations if op.complete]

@@ -36,6 +36,9 @@ class SharedMemory:
         #: mutation — ``write``, ``pagealloc``, ``pagefree`` — and carried
         #: through snapshot/restore.
         self._fp: Optional[Tuple] = None
+        #: True while ``cells`` and the region table are shared with a
+        #: snapshot: the next mutation copies them first (copy-on-write).
+        self._shared = False
         self._layout_globals(module)
 
     # ------------------------------------------------------------------
@@ -67,6 +70,8 @@ class SharedMemory:
         """Allocate ``size`` fresh zeroed cells; return the 2-aligned base."""
         if size <= 0:
             raise MemorySafetyViolation("pagealloc of non-positive size %d" % size)
+        if self._shared:
+            self._unshare()
         base = self._reserve(size)
         for offset in range(size):
             self.cells[base + offset] = 0
@@ -82,6 +87,8 @@ class SharedMemory:
         if addr not in self._region_sizes:
             raise MemorySafetyViolation(
                 "pagefree of %d which is not a live region base" % addr)
+        if self._shared:
+            self._unshare()
         del self._region_sizes[addr]
         pos = bisect_left(self._region_bases, addr)
         del self._region_bases[pos]
@@ -126,6 +133,8 @@ class SharedMemory:
         return self.cells.get(addr, 0)
 
     def write(self, addr: int, value: int) -> None:
+        if self._shared:
+            self._unshare()
         self.cells[addr] = value
         self._fp = None
 
@@ -136,30 +145,28 @@ class SharedMemory:
         """Capture cells, the live-region table, the bump pointer, and
         (last) the cached fingerprint.
 
-        ``global_addr`` is fixed at load time and shared, not copied.
+        The containers are handed out, not copied, and marked shared:
+        the next mutation on either side copies them first.
+        ``global_addr`` is fixed at load time and shared outright.
         """
-        return (dict(self.cells), list(self._region_bases),
-                dict(self._region_sizes), self._bump, self._fp)
+        self._shared = True
+        return (self.cells, self._region_bases, self._region_sizes,
+                self._bump, self._fp)
 
-    def restore(self, state: Tuple, consume: bool = False) -> None:
-        """Reinstate a snapshot.
+    def restore(self, state: Tuple) -> None:
+        """Reinstate a snapshot.  The snapshot's containers are adopted
+        as shared, so it stays valid for any number of restores."""
+        (self.cells, self._region_bases, self._region_sizes,
+         self._bump, self._fp) = state
+        self._shared = True
 
-        A snapshot may be restored many times (fork-and-backtrack DFS),
-        so by default fresh containers are built; ``consume=True`` moves
-        the snapshot's containers in directly — valid only for the final
-        restore of that snapshot.
-        """
-        cells, bases, sizes, bump, fp = state
-        if consume:
-            self.cells = cells
-            self._region_bases = bases
-            self._region_sizes = sizes
-        else:
-            self.cells = dict(cells)
-            self._region_bases = list(bases)
-            self._region_sizes = dict(sizes)
-        self._bump = bump
-        self._fp = fp
+    def _unshare(self) -> None:
+        """Take private copies of the shared containers (once per
+        snapshot or restore, before the first mutation)."""
+        self.cells = dict(self.cells)
+        self._region_bases = list(self._region_bases)
+        self._region_sizes = dict(self._region_sizes)
+        self._shared = False
 
     def fingerprint(self) -> Tuple:
         """Canonical hashable encoding of the memory state (state dedup),

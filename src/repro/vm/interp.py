@@ -46,10 +46,12 @@ class VMSnapshot:
     """One captured VM execution state (see :meth:`VM.snapshot`).
 
     Opaque to callers: hand it back to :meth:`VM.restore` on the *same*
-    VM instance.  Snapshots deep-copy all mutable execution state
-    (threads, frames, registers, shared memory, store buffers, history,
-    counters, the runnable set and blocked-join map) and share everything
-    immutable (module, functions, dispatch tables).
+    VM instance.  A snapshot shares its thread objects and shared-memory
+    containers with the VM copy-on-write (see :meth:`VM.snapshot`),
+    copies the small mutable rest (store buffers, the history list and
+    its in-flight records, counters, the runnable set and blocked-join
+    map), and shares everything immutable (module, functions, dispatch
+    tables, completed history records).
     """
 
     __slots__ = ("threads", "next_tid", "steps", "seq", "flushes",
@@ -102,6 +104,11 @@ class VM:
         self._fn_handlers: Dict[str, list] = {}
 
         self.threads: Dict[int, Thread] = {}
+        #: Copy-on-write generation: a thread whose ``epoch`` differs is
+        #: shared with a snapshot and is cloned before its next mutation
+        #: (``_own``).  Bumped by every snapshot, after it captures the
+        #: thread table.
+        self._generation = 0
         self._next_tid = 0
         #: Incrementally maintained scheduling sets: tids whose status is
         #: RUNNABLE, and blocked-join tid → join-target tid.  Decision
@@ -122,7 +129,7 @@ class VM:
                 % (fn_name, len(args), len(fn.params)))
         tid = self._next_tid
         self._next_tid += 1
-        thread = Thread(tid)
+        thread = Thread(tid, self._generation)
         frame = Frame(fn)
         for param, value in zip(fn.params, args):
             frame.regs[param] = value
@@ -174,12 +181,16 @@ class VM:
         explorer forks the choice tree by executing one branch, restoring,
         and executing the next — one VM step per tree edge instead of an
         O(depth) replay per path.
+
+        Nothing is deep-copied.  The snapshot keeps a shallow copy of the
+        thread table and bumps the generation, so every live thread is
+        now shared and the VM clones a thread before it next mutates it;
+        shared memory hands out its containers the same way.
         """
         snap = VMSnapshot.__new__(VMSnapshot)
-        history, opmap = self.history.clone()
-        snap.history = history
-        snap.threads = {tid: thread.clone(opmap)
-                        for tid, thread in self.threads.items()}
+        snap.history = self.history.copy()
+        snap.threads = dict(self.threads)
+        self._generation += 1
         snap.next_tid = self._next_tid
         snap.steps = self.steps
         snap.seq = self.seq
@@ -190,32 +201,33 @@ class VM:
         snap.blocked_join = dict(self._blocked_join)
         return snap
 
-    def restore(self, snap: VMSnapshot, consume: bool = False) -> None:
+    def restore(self, snap: VMSnapshot) -> None:
         """Reinstate a snapshot taken on this VM.
 
-        A snapshot may be restored any number of times; each restore
-        rebuilds fresh mutable state.  ``consume=True`` moves the
-        snapshot's containers in without copying — a backtracking
-        optimisation valid only for the *last* restore of that snapshot.
+        A snapshot may be restored any number of times.  The VM adopts a
+        shallow copy of the snapshot's thread table.  The adopted threads
+        stay shared with the snapshot until a step clones them: their
+        epochs are all below the generation, which :meth:`snapshot`
+        bumped after capturing them and which never decreases.
         """
-        if consume:
-            self.history = snap.history
-            self.threads = snap.threads
-            self._runnable = snap.runnable
-            self._blocked_join = snap.blocked_join
-        else:
-            history, opmap = snap.history.clone()
-            self.history = history
-            self.threads = {tid: thread.clone(opmap)
-                            for tid, thread in snap.threads.items()}
-            self._runnable = set(snap.runnable)
-            self._blocked_join = dict(snap.blocked_join)
+        self.history = snap.history.copy()
+        self.threads = dict(snap.threads)
+        self._runnable = set(snap.runnable)
+        self._blocked_join = dict(snap.blocked_join)
         self._next_tid = snap.next_tid
         self.steps = snap.steps
         self.seq = snap.seq
         self.flushes = snap.flushes
-        self.memory.restore(snap.memory, consume=consume)
+        self.memory.restore(snap.memory)
         self.model.restore(snap.model)
+
+    def _own(self, tid: int) -> Thread:
+        """Clone the shared thread *tid* into the current generation
+        (copy-on-write), before its first mutation since the last
+        snapshot or restore."""
+        thread = self.threads[tid] = self.threads[tid].clone(
+            self._generation)
+        return thread
 
     # ------------------------------------------------------------------
     # Memory plumbing
@@ -266,6 +278,8 @@ class VM:
             raise StepLimitExceeded(
                 "execution exceeded %d steps" % self.max_steps)
         self.seq += 1
+        if thread.epoch != self._generation:
+            thread = self._own(tid)
 
         if thread.status is ThreadStatus.BLOCKED_JOIN:
             self._complete_join(thread)
@@ -465,19 +479,22 @@ class VM:
     def _do_call(self, thread: Thread, frame: Frame, instr: ins.Call) -> None:
         callee = self.module.function(instr.fn)
         args = [self._value(a, frame) for a in instr.args]
-        record = None
+        op_index = None
         if instr.fn in self.operations:
-            record = self.history.begin(thread.tid, instr.fn, args, self.seq)
-        new_frame = Frame(callee, ret_dst=instr.dst, op_record=record)
+            history = self.history
+            history.begin(thread.tid, instr.fn, args, self.seq)
+            op_index = len(history) - 1
+        new_frame = Frame(callee, ret_dst=instr.dst, op_index=op_index)
         for param, value in zip(callee.params, args):
             new_frame.regs[param] = value
         thread.frames.append(new_frame)
 
     def _do_ret(self, thread: Thread, frame: Frame, instr: ins.Ret) -> None:
         value = self._value(instr.value, frame) if instr.value is not None else 0
-        if frame.op_record is not None:
-            frame.op_record.result = value
-            frame.op_record.ret_seq = self.seq
+        if frame.op_index is not None:
+            record = self.history.operations[frame.op_index]
+            record.result = value
+            record.ret_seq = self.seq
         thread.frames.pop()
         if not thread.frames:
             thread.status = ThreadStatus.FINISHED

@@ -12,7 +12,6 @@ import enum
 from typing import Dict, List, Optional
 
 from ..ir.function import Function
-from .events import Operation
 
 
 class ThreadStatus(enum.Enum):
@@ -24,31 +23,27 @@ class ThreadStatus(enum.Enum):
 class Frame:
     """One activation record: function, registers, instruction pointer."""
 
-    __slots__ = ("fn", "regs", "ip", "ret_dst", "op_record", "handlers")
+    __slots__ = ("fn", "regs", "ip", "ret_dst", "op_index", "handlers")
 
     def __init__(self, fn: Function, ret_dst=None,
-                 op_record: Optional[Operation] = None) -> None:
+                 op_index: Optional[int] = None) -> None:
         self.fn = fn
         self.regs: Dict[str, int] = {}
         self.ip = 0                     # index into fn.body
         self.ret_dst = ret_dst          # register in the caller's frame
-        self.op_record = op_record      # history record to complete on return
+        self.op_index = op_index        # history index to complete on return
         self.handlers = None            # per-function dispatch cache (VM)
 
-    def clone(self, opmap: Optional[Dict[int, Operation]] = None) -> "Frame":
-        """Deep-enough copy for VM snapshots: registers are copied, the
-        immutable function/dispatch cache is shared, and the in-flight
-        operation record is remapped through *opmap* (id(old) → clone) so
-        the copy completes its own history's record, not the original's."""
+    def clone(self) -> "Frame":
+        """Copy for a copy-on-write thread: registers are copied, the
+        immutable function/dispatch cache is shared.  ``op_index`` is an
+        index into the VM's current history, so it needs no remapping."""
         frame = Frame.__new__(Frame)
         frame.fn = self.fn
-        frame.regs = dict(self.regs)
+        frame.regs = self.regs.copy()
         frame.ip = self.ip
         frame.ret_dst = self.ret_dst
-        record = self.op_record
-        if record is not None and opmap is not None:
-            record = opmap[id(record)]
-        frame.op_record = record
+        frame.op_index = self.op_index
         frame.handlers = self.handlers
         return frame
 
@@ -59,18 +54,27 @@ class Frame:
 class Thread:
     """A VM thread: a stack of frames plus scheduling status.
 
+    Threads are copy-on-write between the VM and its snapshots.  ``epoch``
+    is the VM generation the thread was created or cloned in: the VM
+    owns the thread, and may mutate it, only while ``epoch`` equals its
+    current generation.  ``VM.snapshot`` bumps the generation after
+    capturing the thread table, so every live thread becomes shared, as
+    is every thread a restore adopts; the VM clones a stale thread
+    (:meth:`clone`) before the first step that mutates it.
+
     ``key`` and ``step_option`` cache the thread's component of the
     explorer's canonical state key and its "step this thread" branch
     option (``None`` until computed).  Both depend only on this thread's
-    own state.  The VM never reads or clears them; the explorer clears
-    them whenever it runs the thread, and snapshots carry them along
-    with the state they describe.
+    own state, so filling them in on a shared thread is safe.  The VM
+    never reads or clears them; the explorer clears them on the thread
+    the VM owns after running it, and clones carry them along with the
+    state they describe.
     """
 
     __slots__ = ("tid", "frames", "status", "join_target", "result",
-                 "key", "step_option")
+                 "key", "step_option", "epoch")
 
-    def __init__(self, tid: int) -> None:
+    def __init__(self, tid: int, epoch: int) -> None:
         self.tid = tid
         self.frames: List[Frame] = []
         self.status = ThreadStatus.RUNNABLE
@@ -78,17 +82,20 @@ class Thread:
         self.result: Optional[int] = None
         self.key: Optional[tuple] = None
         self.step_option: Optional[tuple] = None
+        self.epoch = epoch
 
-    def clone(self, opmap: Optional[Dict[int, Operation]] = None) -> "Thread":
-        """Deep copy of the thread's execution state (VM snapshots)."""
+    def clone(self, epoch: int) -> "Thread":
+        """Copy of the thread's execution state, owned by generation
+        *epoch* (frames and registers copied)."""
         thread = Thread.__new__(Thread)
         thread.tid = self.tid
-        thread.frames = [frame.clone(opmap) for frame in self.frames]
+        thread.frames = [frame.clone() for frame in self.frames]
         thread.status = self.status
         thread.join_target = self.join_target
         thread.result = self.result
         thread.key = self.key
         thread.step_option = self.step_option
+        thread.epoch = epoch
         return thread
 
     @property

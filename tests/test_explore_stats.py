@@ -9,6 +9,8 @@ pinned to the values the uncached explorer produced.
 import pytest
 
 from perfbench.litmus_inputs import SB3_SOURCE
+from repro.cli import main as cli_main
+from repro.fuzz.oracles import OracleConfig, check_module
 from repro.litmus import LITMUS_TESTS, thread_results
 from repro.minic import compile_source
 from repro.obs.recorder import Recorder
@@ -66,6 +68,36 @@ def test_step_limited_counts_cut_leaves():
     recorder.explore(stats)
     counters = recorder.aggregates()["counters"]
     assert counters["explore/step_limited"] == stats.step_limited
+
+
+def test_step_limited_exploration_is_not_exact():
+    result = explore(compile_source(SPIN_SOURCE, "spin"), "tso",
+                     outcome_fn=thread_results, max_steps=40)
+    assert result.complete
+    assert not result.exact
+    assert explore(LITMUS_TESTS["sb"].compile(), "tso",
+                   outcome_fn=thread_results).exact
+
+
+def test_cli_explore_reports_step_limit(tmp_path, capsys):
+    path = tmp_path / "spin.c"
+    path.write_text(SPIN_SOURCE)
+    code = cli_main([str(path), "--explore"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "STEP LIMIT HIT (" in captured.out
+    assert "exact" not in captured.out
+    assert "lower bounds" in captured.err
+
+
+def test_oracle_step_limited_exploration_is_inconclusive():
+    report = check_module(compile_source(SPIN_SOURCE, "spin"),
+                          OracleConfig(max_steps=40))
+    assert report.ok
+    assert report.inconclusive == [("inclusion", "sc"), ("inclusion", "tso"),
+                                   ("inclusion", "pso")]
+    assert report.outcomes == {}
+    assert report.paths > 0
 
 
 @pytest.mark.parametrize("name", sorted(LITMUS_TESTS))

@@ -1,16 +1,18 @@
 """VM snapshot/restore: the foundation of the fork-and-backtrack DFS.
 
-A snapshot must be a complete, independent copy of the execution state:
-restoring it (any number of times) must reproduce the exact behaviour of
-a fresh run replayed to the same point, under every memory model.
+A snapshot must behave as a complete, independent copy of the execution
+state: restoring it (any number of times) must reproduce the exact
+behaviour of a fresh run replayed to the same point, under every memory
+model.  It shares threads and memory with the VM copy-on-write, so
+independence holds only if every mutation clones what it touches first.
 """
 
 import pytest
 
 from repro.memory.models import make_model
 from repro.minic import compile_source
-from repro.vm.compile import CompiledVM
-from repro.vm.interp import VM
+from repro.vm.compile import CompiledVM, make_vm
+from repro.vm.interp import LOCAL_OPS, VM
 
 SB_SOURCE = """
 int X; int Y;
@@ -101,17 +103,44 @@ def test_snapshot_is_isolated_from_execution(model):
     assert _observable_state(vm) == restored
 
 
+def _local_tids(vm):
+    return [tid for tid in vm.enabled_tids()
+            if vm.peek(tid).__class__ in LOCAL_OPS]
+
+
 @pytest.mark.parametrize("model", MODELS)
-def test_consume_restore_matches_copy_restore(model):
+def test_restore_shares_until_first_mutation(model):
+    """A restore adopts the snapshot's threads and memory containers
+    without copying them.  The first step or local burst of a thread
+    clones that thread alone, and the first write copies memory, so the
+    snapshot still holds its state for the next restore."""
     module = compile_source(SB_SOURCE, "sb")
-    vm = VM(module, make_model(model), max_steps=500)
-    _drive(vm, 6)
-    snap = vm.snapshot()
-    expected = _observable_state(vm)
-    _run_to_end(vm)
-    vm.restore(snap, consume=True)
-    assert _observable_state(vm) == expected
-    assert _run_to_end(vm) is not None
+    for cls in (VM, CompiledVM):
+        vm = cls(module, make_model(model), max_steps=500)
+        _drive(vm, 2)
+        guard = 0
+        while not _local_tids(vm):
+            _drive(vm, 1)
+            guard += 1
+            assert guard < 50, "never reached a thread-local instruction"
+        snap = vm.snapshot()
+        expected = _observable_state(vm)
+        first = _run_to_end(vm)
+
+        vm.restore(snap)
+        assert all(vm.threads[tid] is snap.threads[tid] for tid in vm.threads)
+        assert vm.memory.cells is snap.memory[0]
+        tid = _local_tids(vm)[0]
+        assert vm.run_local(tid, 1_000) > 0
+        assert vm.threads[tid] is not snap.threads[tid]
+        assert all(vm.threads[other] is snap.threads[other]
+                   for other in vm.threads if other != tid)
+
+        vm.restore(snap)
+        assert _observable_state(vm) == expected
+        assert _run_to_end(vm) == first
+        vm.restore(snap)
+        assert _observable_state(vm) == expected
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -136,14 +165,19 @@ def test_restore_rebuilds_scheduling_sets(model):
     assert vm.tids_with_pending() == pending_scan
 
 
-def test_history_cloned_with_inflight_operations():
-    """Snapshots taken inside a recorded operation remap the frame's
-    op_record onto the cloned history, so completing the restored run
-    does not retroactively complete the original history's record."""
+@pytest.mark.parametrize("compiled", [True, False],
+                         ids=["compiled", "interpreted"])
+def test_history_cloned_with_inflight_operations(vm_backend, compiled):
+    """Snapshots taken inside a recorded operation hold their own copy of
+    the in-flight record, which frames reach through ``op_index``, so
+    completing the restored run does not retroactively complete the
+    finished history's record, nor the snapshot's."""
+    vm_backend(compiled)
     module = compile_source(OP_SOURCE, "ops")
-    vm = VM(module, make_model("sc"), operations=("bump",), max_steps=500)
+    vm = make_vm(module, make_model("sc"), operations=("bump",),
+                 max_steps=500)
     # Step until we are inside the first bump() call.
-    while not any(f.op_record is not None
+    while not any(f.op_index is not None
                   for t in vm.threads.values() for f in t.frames):
         vm.step(vm.enabled_tids()[0])
     snap = vm.snapshot()
@@ -154,16 +188,18 @@ def test_history_cloned_with_inflight_operations():
     assert all(op.complete for op in vm.history)
     finished_history = vm.history
 
-    vm.restore(snap)
-    assert vm.history is not finished_history
-    assert any(not op.complete for op in vm.history)
-    frames = [f for t in vm.threads.values() for f in t.frames
-              if f.op_record is not None]
-    for frame in frames:
-        assert frame.op_record in list(vm.history)
-        assert frame.op_record not in list(finished_history)
-    _run_to_end(vm)
-    assert all(op.complete for op in vm.history)
+    for _ in range(2):
+        vm.restore(snap)
+        assert vm.history is not finished_history
+        frames = [f for t in vm.threads.values() for f in t.frames
+                  if f.op_index is not None]
+        assert frames
+        for frame in frames:
+            record = vm.history.operations[frame.op_index]
+            assert not record.complete
+            assert record is not finished_history.operations[frame.op_index]
+        _run_to_end(vm)
+        assert all(op.complete for op in vm.history)
 
 
 # ----------------------------------------------------------------------
