@@ -29,7 +29,7 @@ from typing import List, Optional
 
 from .algorithms import ALGORITHMS
 from .minic import compile_source
-from .obs import ProgressReporter, Recorder, SpanTracer
+from .obs import NULL_RECORDER, ProgressReporter, Recorder, SpanTracer
 from .spec import (
     LinearizabilitySpec,
     MemorySafetySpec,
@@ -286,19 +286,29 @@ def _explore(args) -> int:
         raise SystemExit("--explore needs a MiniC file or a litmus name "
                          "(%s)" % ", ".join(sorted(LITMUS_TESTS)))
 
+    recorder = _make_recorder(args) or NULL_RECORDER
     truncated = []
     step_limited = []
+    cycles = []
     for model in ("sc", "tso", "pso"):
-        result = explore(module, model, outcome_fn=thread_results,
-                         max_paths=args.max_paths,
-                         reduction=args.reduction)
+        with recorder.span("explore", model=model):
+            result = explore(module, model, outcome_fn=thread_results,
+                             max_paths=args.max_paths,
+                             reduction=args.reduction, recorder=recorder)
         stats = result.stats
         if not result.complete:
             status = "BUDGET EXHAUSTED"
             truncated.append(model.upper())
         elif not result.exact:
-            status = "STEP LIMIT HIT (%d leaves)" % stats.step_limited
-            step_limited.append(model.upper())
+            lower = []
+            if stats.step_limited:
+                lower.append("STEP LIMIT HIT (%d leaves)"
+                             % stats.step_limited)
+                step_limited.append(model.upper())
+            if stats.cycles:
+                lower.append("CYCLE CLOSED (%d)" % stats.cycles)
+                cycles.append(model.upper())
+            status = ", ".join(lower)
         else:
             status = "exact"
         outcomes = ", ".join(str(o) for o in sorted(result.outcomes))
@@ -321,7 +331,12 @@ def _explore(args) -> int:
         print("warning: the step limit cut paths under %s — those "
               "outcome sets are lower bounds, not exact"
               % ", ".join(step_limited), file=sys.stderr)
-    if truncated or step_limited:
+    if cycles:
+        print("warning: the state cache closed a cycle under %s (a loop "
+              "whose state repeats) — those outcome sets are lower "
+              "bounds, not exact" % ", ".join(cycles), file=sys.stderr)
+    _emit_observability(args, recorder)
+    if truncated or step_limited or cycles:
         return 3
     return 0
 

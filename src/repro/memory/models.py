@@ -14,8 +14,7 @@ thread, it reports the predicates ``[l_pending < k]`` to the attached
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir.instructions import FenceKind
 from .predicates import PredicateSink
@@ -41,10 +40,6 @@ class StoreBufferModel:
         #: store-buffer pressure metric; 0 under SC).
         self.depth_hwm = 0
         self._depths: Dict[int, int] = {}
-        #: Threads with at least one buffered store, maintained
-        #: incrementally by write/flush so schedulers do not rescan every
-        #: thread's buffers at each decision point.
-        self._pending_tids: set = set()
         #: Cached :meth:`fingerprint` (None when stale).  Every buffer
         #: mutation goes through ``_note_push``/``_note_pop``/``reset``,
         #: which clear it, so subclasses stay consistent for free.
@@ -53,6 +48,14 @@ class StoreBufferModel:
         #: (None when stale): cleared together with ``_fp`` and carried
         #: through snapshot/restore the same way.
         self.flush_options = None
+        #: The buffered stores, keyed by tid; the value's shape is the
+        #: subclass's.  Buffers are immutable tuples, replaced (never
+        #: mutated) by every write and flush, so a snapshot copies this
+        #: one dict.  Every write/flush, the broken-model subclasses'
+        #: included, deletes an emptied buffer: the keys are exactly the
+        #: threads with buffered stores, which schedulers read instead
+        #: of rescanning the buffers.
+        self._buffers: dict = {}
 
     def attach(self, commit: CommitFn,
                sink: Optional[PredicateSink] = None) -> None:
@@ -85,7 +88,7 @@ class StoreBufferModel:
 
     def has_pending(self, tid: int) -> bool:
         """True if the thread has any buffered stores."""
-        raise NotImplementedError
+        return tid in self._buffers
 
     def pending_addrs(self, tid: int) -> List[int]:
         """Addresses with buffered stores (PSO: buffer keys; TSO: queue)."""
@@ -95,10 +98,10 @@ class StoreBufferModel:
         raise NotImplementedError
 
     def pending_tids(self) -> List[int]:
-        """Threads with buffered stores, ascending (incremental set)."""
-        if not self._pending_tids:
+        """Threads with buffered stores, ascending."""
+        if not self._buffers:
             return _EMPTY_LIST
-        return sorted(self._pending_tids)
+        return sorted(self._buffers)
 
     def head_addr(self, tid: int) -> Optional[int]:
         """Address the next ``flush_one(tid)`` would commit (None if no
@@ -119,36 +122,31 @@ class StoreBufferModel:
 
     def reset(self) -> None:
         """Discard all buffers (start of a new execution)."""
-        raise NotImplementedError
+        self._buffers = {}
+        self._depths.clear()
+        self.depth_hwm = 0
+        self._fp = self.flush_options = None
 
     # -- snapshot/restore (schedule exploration) -----------------------
     #
-    # ``snapshot()`` captures the model's complete mutable state as an
-    # immutable-enough value; ``restore()`` reinstates it.  One snapshot
-    # may be restored many times (fork-and-backtrack DFS), so restore
-    # always rebuilds fresh mutable containers.  ``fingerprint()`` is a
-    # canonical hashable encoding of the buffers for state dedup; the
-    # snapshot carries its cached value and the cached flush options
-    # (the last two elements) along.
+    # ``snapshot()`` captures the model's complete mutable state;
+    # ``restore()`` reinstates it.  One snapshot may be restored many
+    # times (fork-and-backtrack DFS), so restore copies the containers
+    # it adopts.  The buffers themselves are immutable, so both copy one
+    # dict level.  ``fingerprint()`` is a canonical hashable encoding of
+    # the buffers for state dedup; the snapshot carries its cached value
+    # and the cached flush options (the last two elements) along.
 
     def snapshot(self):
-        return (self.depth_hwm, dict(self._depths),
-                self._buffers_snapshot(), self._fp, self.flush_options)
+        return (self.depth_hwm, dict(self._depths), dict(self._buffers),
+                self._fp, self.flush_options)
 
     def restore(self, state) -> None:
         self.depth_hwm = state[0]
         self._depths = dict(state[1])
-        self._buffers_restore(state[2])
+        self._buffers = dict(state[2])
         self._fp = state[3]
         self.flush_options = state[4]
-
-    def _buffers_snapshot(self):
-        return None
-
-    def _buffers_restore(self, state) -> None:
-        if state is not None:
-            raise NotImplementedError(
-                "%s does not implement buffer restore" % type(self).__name__)
 
     def fingerprint(self):
         """Canonical hashable encoding of all buffered stores, cached
@@ -163,28 +161,20 @@ class StoreBufferModel:
 
     # -- helpers -------------------------------------------------------
 
-    def _reset_depths(self) -> None:
-        self.depth_hwm = 0
-        self._depths.clear()
-
     def _note_push(self, tid: int) -> None:
         """A store entered the thread's buffer: bump the depth HWM and
-        mark the thread pending.  The pending set lives here (not in the
-        concrete write/flush methods) so subclasses overriding those —
-        the broken-model oracle tests do — keep it consistent for free."""
+        drop the caches.  This lives here (not in the concrete
+        write/flush methods) so subclasses overriding those — the
+        broken-model oracle tests do — keep it consistent for free."""
         depth = self._depths.get(tid, 0) + 1
         self._depths[tid] = depth
-        self._pending_tids.add(tid)
         self._fp = self.flush_options = None
         if depth > self.depth_hwm:
             self.depth_hwm = depth
 
     def _note_pop(self, tid: int) -> None:
-        depth = self._depths[tid] - 1
-        self._depths[tid] = depth
+        self._depths[tid] -= 1
         self._fp = self.flush_options = None
-        if depth <= 0:
-            self._pending_tids.discard(tid)
 
     def _do_commit(self, tid: int, addr: int, value: int, label: int) -> None:
         if self._commit is None:
@@ -214,9 +204,6 @@ class SCModel(StoreBufferModel):
     def fence(self, tid, kind):
         pass
 
-    def has_pending(self, tid):
-        return False
-
     def pending_addrs(self, tid):
         return _EMPTY_LIST
 
@@ -229,9 +216,6 @@ class SCModel(StoreBufferModel):
     def flush_one(self, tid, addr=None):
         return False
 
-    def reset(self):
-        pass
-
 
 class TSOModel(StoreBufferModel):
     """Total Store Order: one FIFO buffer of (addr, value, label) per thread.
@@ -240,20 +224,13 @@ class TSOModel(StoreBufferModel):
     buffered address forward the newest buffered value.  Store-store order
     is preserved (single FIFO), so only store→load predicates arise and a
     ``ST_ST`` fence is a no-op.
+
+    ``_buffers`` maps a pending tid to its FIFO as a tuple, oldest first.
     """
 
     name = "tso"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._buffers: Dict[int, Deque[Tuple[int, int, int]]] = {}
-
-    def _buffer(self, tid: int) -> Deque[Tuple[int, int, int]]:
-        buf = self._buffers.get(tid)
-        if buf is None:
-            buf = deque()
-            self._buffers[tid] = buf
-        return buf
+    _buffers: Dict[int, Tuple[Tuple[int, int, int], ...]]
 
     def read(self, tid, addr, label):
         buf = self._buffers.get(tid)
@@ -271,7 +248,8 @@ class TSOModel(StoreBufferModel):
 
     def write(self, tid, addr, value, label):
         # TSO never reorders store-store: no predicates on a store.
-        self._buffer(tid).append((addr, value, label))
+        buffers = self._buffers
+        buffers[tid] = buffers.get(tid, ()) + ((addr, value, label),)
         self._note_push(tid)
 
     def pre_cas(self, tid, addr, label):
@@ -283,10 +261,6 @@ class TSOModel(StoreBufferModel):
         if kind is FenceKind.ST_ST:
             return  # TSO already orders store-store.
         self.drain(tid)
-
-    def has_pending(self, tid):
-        buf = self._buffers.get(tid)
-        return bool(buf)
 
     def pending_addrs(self, tid):
         buf = self._buffers.get(tid)
@@ -310,29 +284,17 @@ class TSOModel(StoreBufferModel):
         # at the head cannot be flushed out of order.
         if addr is not None and buf[0][0] != addr:
             return False
-        pending_addr, value, label = buf.popleft()
+        if len(buf) > 1:
+            self._buffers[tid] = buf[1:]
+        else:
+            del self._buffers[tid]
         self._note_pop(tid)
+        pending_addr, value, label = buf[0]
         self._do_commit(tid, pending_addr, value, label)
         return True
 
-    def reset(self):
-        self._buffers.clear()
-        self._pending_tids.clear()
-        self._reset_depths()
-        self._fp = self.flush_options = None
-
-    def _buffers_snapshot(self):
-        return {tid: tuple(buf)
-                for tid, buf in self._buffers.items() if buf}
-
-    def _buffers_restore(self, state):
-        self._buffers = {tid: deque(entries)
-                         for tid, entries in state.items()}
-        self._pending_tids = set(state)
-
     def _fingerprint(self):
-        return tuple(sorted((tid, tuple(buf))
-                            for tid, buf in self._buffers.items() if buf))
+        return tuple(sorted(self._buffers.items()))
 
 
 class PSOModel(StoreBufferModel):
@@ -341,14 +303,15 @@ class PSOModel(StoreBufferModel):
     Stores to different addresses may be committed in any relative order,
     so both store→load and store→store bypasses occur, and predicates of
     both kinds are generated (paper Semantics 2).
+
+    ``_buffers`` maps a pending tid to ``{addr: FIFO}``, each FIFO a
+    tuple of (value, label), oldest first.  A snapshot shares the inner
+    dicts, so they are replaced, never mutated.
     """
 
     name = "pso"
 
-    def __init__(self) -> None:
-        super().__init__()
-        # tid -> addr -> deque of (value, label)
-        self._buffers: Dict[int, Dict[int, Deque[Tuple[int, int]]]] = {}
+    _buffers: Dict[int, Dict[int, Tuple[Tuple[int, int], ...]]]
 
     def _report_bypasses(self, tid: int, addr: int, label: int,
                          kind: FenceKind) -> None:
@@ -358,7 +321,7 @@ class PSOModel(StoreBufferModel):
         if not bufs:
             return
         for other_addr, entries in bufs.items():
-            if other_addr == addr or not entries:
+            if other_addr == addr:
                 continue
             for (_value, pending_label) in entries:
                 self.sink.add(pending_label, label, kind)
@@ -377,13 +340,11 @@ class PSOModel(StoreBufferModel):
         bufs = self._buffers.get(tid)
         if bufs:
             self._report_bypasses(tid, addr, label, FenceKind.ST_ST)
-        elif bufs is None:
-            bufs = self._buffers[tid] = {}
-        entries = bufs.get(addr)
-        if entries is None:
-            entries = deque()
-            bufs[addr] = entries
-        entries.append((value, label))
+            bufs = dict(bufs)
+            bufs[addr] = bufs.get(addr, ()) + ((value, label),)
+        else:
+            bufs = {addr: ((value, label),)}
+        self._buffers[tid] = bufs
         self._note_push(tid)
 
     def pre_cas(self, tid, addr, label):
@@ -401,17 +362,10 @@ class PSOModel(StoreBufferModel):
         while self.flush_one(tid, addr):
             pass
 
-    def has_pending(self, tid):
-        bufs = self._buffers.get(tid)
-        if not bufs:
-            return False
-        return any(entries for entries in bufs.values())
-
     def pending_addrs(self, tid):
         bufs = self._buffers.get(tid)
         if not bufs:
             return _EMPTY_LIST
-        # flush_one deletes a buffer once it empties: every key pends.
         return sorted(bufs)
 
     def pending_count(self, tid):
@@ -422,55 +376,34 @@ class PSOModel(StoreBufferModel):
 
     def head_addr(self, tid):
         bufs = self._buffers.get(tid)
-        if not bufs:
-            return None
-        candidates = [a for a, entries in bufs.items() if entries]
-        return min(candidates) if candidates else None
+        return min(bufs) if bufs else None
 
     def flush_one(self, tid, addr=None):
         bufs = self._buffers.get(tid)
         if not bufs:
             return False
         if addr is None:
-            candidates = [a for a, entries in bufs.items() if entries]
-            if not candidates:
-                return False
-            addr = min(candidates)  # deterministic pick for drain()
+            addr = min(bufs)  # deterministic pick for drain()
         entries = bufs.get(addr)
         if not entries:
             return False
-        value, label = entries.popleft()
-        if not entries:
+        bufs = dict(bufs)
+        if len(entries) > 1:
+            bufs[addr] = entries[1:]
+        else:
             del bufs[addr]
+        if bufs:
+            self._buffers[tid] = bufs
+        else:
+            del self._buffers[tid]
         self._note_pop(tid)
+        value, label = entries[0]
         self._do_commit(tid, addr, value, label)
         return True
 
-    def reset(self):
-        self._buffers.clear()
-        self._pending_tids.clear()
-        self._reset_depths()
-        self._fp = self.flush_options = None
-
-    def _buffers_snapshot(self):
-        return {tid: {addr: tuple(entries)
-                      for addr, entries in bufs.items() if entries}
-                for tid, bufs in self._buffers.items() if bufs}
-
-    def _buffers_restore(self, state):
-        self._buffers = {tid: {addr: deque(entries)
-                               for addr, entries in bufs.items()}
-                         for tid, bufs in state.items()}
-        self._pending_tids = {tid for tid, bufs in self._buffers.items()
-                              if bufs}
-
     def _fingerprint(self):
-        return tuple(sorted(
-            (tid, tuple(sorted((addr, tuple(entries))
-                               for addr, entries in bufs.items()
-                               if entries)))
-            for tid, bufs in self._buffers.items()
-            if any(bufs.values())))
+        return tuple(sorted((tid, tuple(sorted(bufs.items())))
+                            for tid, bufs in self._buffers.items()))
 
 
 _MODELS = {"sc": SCModel, "tso": TSOModel, "pso": PSOModel}

@@ -198,6 +198,7 @@ class Recorder(NullRecorder):
         m.inc("explore/snapshots", stats.snapshots)
         m.inc("explore/restores", stats.restores)
         m.inc("explore/step_limited", stats.step_limited)
+        m.inc("explore/cycles", stats.cycles)
         if stats.snapshot_bytes > 0:
             m.observe("explore/snapshot_bytes", stats.snapshot_bytes)
 

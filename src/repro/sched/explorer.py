@@ -23,11 +23,20 @@ On top of the incremental walk it layers two sound reductions:
   touch only the issuing thread's own buffer), and flushes/accesses of
   disjoint addresses all commute.  Sleep sets alone still visit every
   reachable state, so outcome and violation sets are preserved exactly.
+  At both sleep levels a buffered store (TSO/PSO) is also never a branch
+  point: it runs in its thread's eager local burst, like a register op.
+  It appends to the tail of its own thread's FIFO buffer, so it commutes
+  with every other action, cannot be disabled and enables or disables
+  nothing — ``{store}`` is a persistent set, and running it at once
+  keeps every terminal state and every violation.
 * **State caching**.  Distinct interleavings frequently converge on the
   same state (same thread frames, memory, and buffers).  A canonical hash
   of the state dedupes re-exploration, with the standard sleep-set
   proviso: a cached state only covers a revisit whose sleep set is a
-  superset of the one it was first explored with.
+  superset of the one it was first explored with.  A hit on a state
+  still on the DFS stack closes a cycle (a loop whose state repeats):
+  the continuations past it are never explored, so such a hit is
+  counted in ``ExploreStats.cycles`` and the result is not ``exact``.
 
 ``reduction`` selects the level: ``"none"`` (exact mirror of the replay
 tree, for differential validation), ``"sleep"``, or ``"sleep+cache"``
@@ -42,8 +51,8 @@ may explore outcomes past a step horizon the replay baseline stops at.
 All catalog litmus tests and generated fuzz programs have bounded loops,
 where budget ``max_steps`` is never the binding constraint.
 ``ExploreStats.step_limited`` counts the leaves the step limit cut (they
-are also counted in ``paths``); a result with any such leaf is not
-``exact``.
+are also counted in ``paths``); a result with any such leaf, or with a
+cache-closed cycle, is not ``exact``.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from ..memory.models import StoreBufferModel, make_model
 from ..obs.recorder import NULL_RECORDER
 from ..vm.compile import make_vm
 from ..vm.errors import SpecViolationError, StepLimitExceeded
-from ..vm.interp import VM, VMSnapshot
+from ..vm.interp import LOCAL_OPS_ASSERT, LOCAL_OPS_STORE, VM, VMSnapshot
 from ..vm.state import Thread, ThreadStatus
 
 #: Builds a fresh memory-model instance for one exploration.
@@ -85,7 +94,9 @@ _GLOBAL_FP: Footprint = (True, _EMPTY, _EMPTY)
 #: A buffered store: appends to the issuing thread's own FIFO buffer,
 #: invisible to every other thread until a *flush* commits it — so it
 #: commutes with everything except that thread's own actions (which are
-#: never candidates for each other's sleep sets anyway).
+#: never candidates for each other's sleep sets anyway).  Only the
+#: ``none`` level branches on a buffered store; the sleep levels run it
+#: eagerly (:func:`_advance_local`).
 _LOCAL_FP: Footprint = (False, _EMPTY, _EMPTY)
 
 
@@ -95,7 +106,8 @@ class ExplorationResult:
     ``stats`` carries the :class:`ExploreStats` reduction counters; the
     test-side replay reference leaves it ``None``.  ``complete`` means
     the path budget was not exhausted; :attr:`exact` additionally
-    requires that no leaf was cut by the step limit.
+    requires that no leaf was cut by the step limit and that the state
+    cache closed no cycle.
     """
 
     def __init__(self, outcomes: Set[Tuple], paths: int,
@@ -110,9 +122,11 @@ class ExplorationResult:
     @property
     def exact(self) -> bool:
         """True iff the outcome set is exact, not a lower bound: the
-        search completed and the step limit cut no leaf."""
-        return (self.complete and self.stats is not None
-                and self.stats.step_limited == 0)
+        search completed, the step limit cut no leaf and no cache hit
+        closed a cycle."""
+        stats = self.stats
+        return (self.complete and stats is not None
+                and stats.step_limited == 0 and stats.cycles == 0)
 
     def __repr__(self) -> str:
         return "<ExplorationResult %d outcomes, %d paths%s, %d violations>" \
@@ -125,7 +139,8 @@ class ExploreStats:
     """Reduction and snapshot counters for one exploration."""
 
     __slots__ = ("paths", "pruned", "cache_hits", "cache_states",
-                 "snapshots", "restores", "snapshot_bytes", "step_limited")
+                 "snapshots", "restores", "snapshot_bytes", "step_limited",
+                 "cycles")
 
     def __init__(self) -> None:
         self.paths = 0            # leaves reached (terminal/violation/limit)
@@ -136,6 +151,7 @@ class ExploreStats:
         self.restores = 0
         self.snapshot_bytes = 0   # pickled execution state of 1st snapshot
         self.step_limited = 0     # leaves cut by StepLimitExceeded (in paths)
+        self.cycles = 0           # cache hits on a state on the DFS stack
 
     @property
     def estimated_unreduced(self) -> int:
@@ -153,6 +169,7 @@ class ExploreStats:
             "restores": self.restores,
             "snapshot_bytes": self.snapshot_bytes,
             "step_limited": self.step_limited,
+            "cycles": self.cycles,
             "estimated_unreduced": self.estimated_unreduced,
         }
 
@@ -162,12 +179,15 @@ class ExploreStats:
                                    self.cache_hits, self.snapshots))
 
 
-def _advance_local(vm: VM) -> List[int]:
-    """Eagerly run register-only instructions of every thread.
+def _advance_local(vm: VM, local: frozenset) -> List[int]:
+    """Eagerly run every thread's instructions of class *local*.
 
-    Local steps commute with all other threads' actions, so executing
-    them without branching preserves the reachable outcome set while
-    collapsing the search tree (the explorer's partial-order reduction).
+    *local* is ``LOCAL_OPS_ASSERT`` (register ops, branches, asserts) or,
+    under a buffering model at the sleep levels, ``LOCAL_OPS_STORE``,
+    which adds buffered stores.  Local steps commute with all other
+    threads' actions, so executing them without branching preserves the
+    reachable outcome set while collapsing the search tree (the
+    explorer's partial-order reduction).
     Each thread's local run is executed to completion before moving to
     the next thread (rather than one op per thread round-robin) — the
     commutativity that justifies the reduction also makes the two orders
@@ -192,7 +212,7 @@ def _advance_local(vm: VM) -> List[int]:
         for tid in enabled:
             if threads[tid].step_option is not None:
                 continue
-            executed = vm.run_local(tid, _LOCAL_BURST, with_assert=True)
+            executed = vm.run_local(tid, _LOCAL_BURST, local)
             if executed:
                 # The thread the VM owns now: run_local may have cloned it.
                 thread = threads[tid]
@@ -222,7 +242,7 @@ def _step_footprint(vm: VM, thread: Thread) -> Footprint:
             # SC commits immediately: a real shared write.
             addr = vm._value(instr.addr, frame)
             return (False, _EMPTY, frozenset((addr,)))
-        return _LOCAL_FP
+        return _LOCAL_FP  # reachable at reduction="none" only
     return _GLOBAL_FP
 
 
@@ -339,15 +359,18 @@ def _state_key(vm: VM) -> Tuple:
 class _Node:
     """One open interior node of the DFS tree."""
 
-    __slots__ = ("snap", "branch", "index", "sleep", "needs_restore")
+    __slots__ = ("snap", "branch", "index", "sleep", "needs_restore", "key")
 
     def __init__(self, snap: Optional[VMSnapshot], branch: List[Option],
-                 sleep: Dict[Tuple, Footprint]) -> None:
+                 sleep: Dict[Tuple, Footprint], key: Optional[Tuple]) -> None:
         self.snap = snap
         self.branch = branch
         self.index = 0
         self.sleep = sleep          # mutated: explored siblings added
         self.needs_restore = False  # first child runs on the live state
+        #: The state key this node put on the search's on-stack set
+        #: (None without a cache, or when an ancestor holds the key).
+        self.key = key
 
 
 class _Search:
@@ -361,11 +384,18 @@ class _Search:
         self.outcome_fn = outcome_fn
         self.max_paths = max_paths
         self.use_sleep = use_sleep
+        # Under SC a store is a real shared write, and reduction="none"
+        # mirrors the replay reference's tree: both keep stores as
+        # branch points.
+        self.local = (LOCAL_OPS_STORE if use_sleep and vm.model.name != "sc"
+                      else LOCAL_OPS_ASSERT)
         self.cache = cache
         self.stats = stats
         self.outcomes = outcomes
         self.violations = violations
         self.stack: List[_Node] = []
+        #: State keys of the nodes on ``stack`` (cache mode only).
+        self.on_stack: Set[Tuple] = set()
 
     def run(self) -> bool:
         """Explore the tree rooted at the VM's current state.
@@ -383,6 +413,8 @@ class _Search:
             node = stack[-1]
             if node.index >= len(node.branch):
                 stack.pop()
+                if node.key is not None:
+                    self.on_stack.discard(node.key)
                 continue
             choice, ident, fp = node.branch[node.index]
             node.index += 1
@@ -434,7 +466,7 @@ class _Search:
                 thread.key = thread.step_option = None
             else:
                 vm.flush_one(choice[1], choice[2])
-            return _advance_local(vm)
+            return _advance_local(vm, self.local)
         except SpecViolationError as exc:
             self.violations.add(str(exc))
             self.stats.paths += 1
@@ -462,6 +494,7 @@ class _Search:
         else:
             branch = options
         cache = self.cache
+        key = None
         if cache is not None:
             key = _state_key(vm)
             slept = frozenset(sleep)
@@ -476,16 +509,24 @@ class _Search:
                 for prev in stored:
                     if prev <= slept:
                         stats.cache_hits += 1
+                        if key in self.on_stack:
+                            # Not explored yet: the hit closes a cycle.
+                            stats.cycles += 1
                         return
                 stored[:] = [p for p in stored if not slept <= p]
                 stored.append(slept)
+            on_stack = self.on_stack
+            if key in on_stack:
+                key = None  # an ancestor holds it
+            else:
+                on_stack.add(key)
         snap = None
         if len(branch) > 1:
             snap = vm.snapshot()
             stats.snapshots += 1
             if stats.snapshot_bytes == 0:
                 stats.snapshot_bytes = _snapshot_size(snap)
-        self.stack.append(_Node(snap, branch, sleep))
+        self.stack.append(_Node(snap, branch, sleep, key))
 
 
 def _snapshot_size(snap: VMSnapshot) -> int:

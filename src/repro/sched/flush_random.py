@@ -77,8 +77,8 @@ class FlushDelayScheduler(Scheduler):
         # Flushing is a memory-system action: any thread's buffers may
         # flush, including threads blocked in join or already finished
         # (otherwise a blocked producer could starve a spinning consumer
-        # forever).
-        pending = model._pending_tids
+        # forever).  The buffer dict's keys are the pending tids.
+        pending = model._buffers
         while True:
             enabled = vm.enabled_tids() if blocked_join else runnable
             if pending:

@@ -27,13 +27,15 @@ thread-local register ops are fused, and they are only executed in bulk
 inside :meth:`CompiledVM.run_local` — the partial-order-reduction burst
 that both backends define as "run local instructions until the next
 scheduler-visible action (load, store, CAS, fence, fork/join, operation
-call/return) or the budget runs out".  ``step()`` itself always executes
-exactly one instruction, so every existing call site (round-robin,
-replay, explorer tree edges) keeps per-instruction semantics.  The
-``steps``/``seq`` counters, coverage sets, and the step-limit check are
-maintained per *underlying instruction*, which is what makes compiled
-executions byte-identical to interpreted ones (outcomes, histories,
-predicates, traces) — see ``tests/test_compile_equivalence.py``.
+call/return) or the budget runs out" (the explorer's burst under
+TSO/PSO runs buffered stores too, one at a time).  ``step()`` itself
+always executes exactly one instruction, so every existing call site
+(round-robin, replay, explorer tree edges) keeps per-instruction
+semantics.  The ``steps``/``seq`` counters, coverage sets, and the
+step-limit check are maintained per *underlying instruction*, which is
+what makes compiled executions byte-identical to interpreted ones
+(outcomes, histories, predicates, traces) — see
+``tests/test_compile_equivalence.py``.
 
 Compiled bodies are cached per ``(function, body_version)``:
 :class:`~repro.ir.function.Function` bumps ``body_version`` on every
@@ -65,7 +67,8 @@ from ..ir import instructions as ins
 from ..ir.function import Function
 from ..ir.operands import Const, Reg, Sym
 from .errors import AssertionViolation, InterpreterError, StepLimitExceeded
-from .interp import LOCAL_OPS, LOCAL_OPS_ASSERT, VM, _DISPATCH
+from .interp import (
+    LOCAL_OPS, LOCAL_OPS_ASSERT, LOCAL_OPS_STORE, VM, _DISPATCH)
 from .state import Frame, Thread, ThreadStatus
 
 #: A compiled instruction: executes its op(s) and sets ``frame.ip``.
@@ -701,12 +704,14 @@ class CompiledCode:
     * ``ops``     — how many instructions ``code[i]`` executes.
     * ``labels``  — the labels ``code[i]`` covers (coverage sets).
     * ``label_of``— the label at offset i.
-    * ``local`` / ``local_assert`` — scheduler-locality flags per offset
-      (the two POR variants; see :data:`repro.vm.interp.LOCAL_OPS`).
+
+    ``local`` maps each locality set of :mod:`repro.vm.interp`
+    (``LOCAL_OPS``, ``LOCAL_OPS_ASSERT``, ``LOCAL_OPS_STORE``) to its
+    flags per offset, the form :meth:`CompiledVM.run_local` selects.
     """
 
     __slots__ = ("fn_name", "version", "code", "singles", "ops", "labels",
-                 "label_of", "local", "local_assert")
+                 "label_of", "local")
 
     def __init__(self, fn: Function) -> None:
         body = fn.body
@@ -716,9 +721,9 @@ class CompiledCode:
                    for i, instr in enumerate(body)]
         self.singles = singles
         self.label_of = tuple(instr.label for instr in body)
-        self.local = tuple(instr.__class__ in LOCAL_OPS for instr in body)
-        self.local_assert = tuple(instr.__class__ in LOCAL_OPS_ASSERT
-                                  for instr in body)
+        self.local = {ops: tuple(instr.__class__ in ops for instr in body)
+                      for ops in (LOCAL_OPS, LOCAL_OPS_ASSERT,
+                                  LOCAL_OPS_STORE)}
 
         targets = set()
         for instr in body:
@@ -839,7 +844,7 @@ class CompiledVM(VM):
         code.singles[ip](self, thread, frame)
 
     def run_local(self, tid: int, budget: int,
-                  with_assert: bool = False) -> int:
+                  local: frozenset = LOCAL_OPS) -> int:
         """Budget-exact local burst over compiled code.
 
         Executes the same underlying instruction sequence as the generic
@@ -855,7 +860,7 @@ class CompiledVM(VM):
         code = frame.handlers
         if code is None:
             code = frame.handlers = self._code_for(frame.fn)
-        local = code.local_assert if with_assert else code.local
+        local = code.local[local]
         if not local[frame.ip]:
             return 0
         if thread.epoch != self._generation:

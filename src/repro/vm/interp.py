@@ -35,11 +35,16 @@ DEFAULT_MAX_STEPS = 200_000
 #: additionally treats ``assert`` as local (its violation surfaces on
 #: every interleaving once its operands are fixed); the random scheduler
 #: keeps asserts as scheduling points, matching its historical behaviour.
+#: Under a buffering model (TSO/PSO) the explorer also runs stores
+#: eagerly: a store only appends to the issuing thread's own FIFO
+#: buffer, so it commutes with every other thread's action and with the
+#: flush of its buffer's head (see DESIGN, "Eager stores").
 LOCAL_OPS = frozenset((
     ins.ConstInstr, ins.Mov, ins.BinOp, ins.UnOp,
     ins.Br, ins.Cbr, ins.Nop, ins.SelfId, ins.AddrOf,
 ))
 LOCAL_OPS_ASSERT = LOCAL_OPS | frozenset((ins.Assert,))
+LOCAL_OPS_STORE = LOCAL_OPS_ASSERT | frozenset((ins.Store,))
 
 
 class VMSnapshot:
@@ -296,21 +301,21 @@ class VM:
         handlers[ip](self, thread, frame, instr)
 
     def run_local(self, tid: int, budget: int,
-                  with_assert: bool = False) -> int:
+                  local: frozenset = LOCAL_OPS) -> int:
         """Execute up to *budget* consecutive thread-local instructions.
 
-        Stops early as soon as the thread's next instruction is not local
-        (shared access, fence, call/return, fork/join, allocation — the
-        scheduler-visible actions) or the thread cannot step.  Returns the
-        number of instructions executed.  ``with_assert`` additionally
-        treats ``assert`` as local (the exploration variant).
+        Stops early as soon as the thread's next instruction is not in
+        *local* (shared access, fence, call/return, fork/join, allocation
+        — the scheduler-visible actions) or the thread cannot step.
+        Returns the number of instructions executed.  *local* is one of
+        :data:`LOCAL_OPS` (the random scheduler), :data:`LOCAL_OPS_ASSERT`
+        or :data:`LOCAL_OPS_STORE` (the explorer's two variants).
 
         Semantically this is exactly ``budget`` repetitions of
         "peek; stop if non-local; step" — the compiled VM overrides it
         with superinstruction execution whose per-instruction accounting
         (steps, seq, coverage, step limit) is identical.
         """
-        local = LOCAL_OPS_ASSERT if with_assert else LOCAL_OPS
         executed = 0
         step = self.step
         peek = self.peek

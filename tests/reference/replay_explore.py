@@ -8,6 +8,11 @@ O(depth) work per path — which is what makes it the semantic reference
 for the snapshot explorer in :mod:`repro.sched.explorer`: the two must
 agree on outcomes, violations and completeness at every reduction level,
 and path-for-path at ``reduction="none"``.
+
+It keeps its own eager local advance, with the locality the explorer
+uses at ``reduction="none"`` (register ops, branches and asserts; stores
+stay branch points), so the oracle never inherits the eager-store
+reduction it checks.
 """
 
 from __future__ import annotations
@@ -16,18 +21,24 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.ir.module import Module
 from repro.memory.models import make_model
-from repro.sched.explorer import (
-    ExplorationResult,
-    ModelFactory,
-    OutcomeFn,
-    _advance_local,
-)
+from repro.sched.explorer import ExplorationResult, ModelFactory, OutcomeFn
 from repro.vm.compile import make_vm
 from repro.vm.errors import SpecViolationError, StepLimitExceeded
-from repro.vm.interp import VM
+from repro.vm.interp import LOCAL_OPS_ASSERT, VM
 
 #: A choice: ("step", tid) or ("flush", tid, addr_or_None).
 Choice = Tuple
+
+
+def _advance_local(vm: VM) -> None:
+    """Run every enabled thread's register ops, branches and asserts
+    until no thread has one next."""
+    progressed = True
+    while progressed:
+        progressed = False
+        for tid in vm.enabled_tids():
+            if vm.run_local(tid, 4096, LOCAL_OPS_ASSERT):
+                progressed = True
 
 
 def _decision_options(vm: VM) -> List[Choice]:

@@ -136,7 +136,7 @@ class _StubModel:
 
     def __init__(self, vm, pending):
         self.vm = vm
-        self._pending_tids = pending
+        self._buffers = pending
 
     def flush_one(self, tid, addr=None):
         self.vm.decide(tid)
@@ -160,7 +160,7 @@ class _StubVM:
         self.left -= 1
         if not self.left:
             self._runnable.clear()
-            self.model._pending_tids.clear()
+            self.model._buffers.clear()
 
     def step(self, tid):
         self.decide(tid)

@@ -44,7 +44,11 @@ class LifoFlushTSOModel(TSOModel):
             return False
         if addr is not None and buf[-1][0] != addr:
             return False
-        pending_addr, value, label = buf.pop()
+        if len(buf) > 1:
+            self._buffers[tid] = buf[:-1]
+        else:
+            del self._buffers[tid]
+        pending_addr, value, label = buf[-1]
         self._note_pop(tid)
         self._do_commit(tid, pending_addr, value, label)
         return True
