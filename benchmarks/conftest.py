@@ -12,4 +12,4 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
-from tests.conftest import vm_backend  # noqa: E402,F401
+from tests.conftest import reference_vm  # noqa: E402,F401

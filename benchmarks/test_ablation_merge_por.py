@@ -16,7 +16,7 @@ from repro.algorithms import ALGORITHMS
 from repro.memory import make_model
 from repro.sched import FlushDelayScheduler
 from repro.synth import SynthesisConfig, SynthesisEngine
-from repro.vm import VM
+from repro.vm import make_vm
 
 SEED = 7
 
@@ -59,8 +59,9 @@ class TestPorAblation:
         total_steps = 0
         for i in range(runs):
             model = make_model("pso")
-            vm = VM(module, model, entry=bundle.entries[i % len(bundle.entries)],
-                    operations=bundle.operations)
+            vm = make_vm(module, model,
+                         entry=bundle.entries[i % len(bundle.entries)],
+                         operations=bundle.operations)
             FlushDelayScheduler(seed=SEED + i, flush_prob=0.2,
                                 por=por).run(vm)
             total_steps += vm.steps

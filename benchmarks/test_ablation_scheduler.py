@@ -15,8 +15,10 @@ from common import format_table, write_result
 
 from repro.algorithms import ALGORITHMS
 from repro.memory import make_model
-from repro.sched import FlushDelayScheduler, RoundRobinScheduler
+from repro.sched import FlushDelayScheduler
 from repro.vm.driver import run_execution
+
+from tests.reference.round_robin import RoundRobinScheduler
 
 RUNS = 300
 SEED = 5

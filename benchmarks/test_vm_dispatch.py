@@ -1,5 +1,9 @@
 """VM dispatch throughput — closure-compiled bodies vs the interpreter.
 
+The interpreter is the generic reference VM the tests keep
+(``tests/reference/interp_vm.py``); ``conftest.py`` puts the repository
+root on ``sys.path`` for that import.
+
 Two measurements, written to ``BENCH_vm.json`` at the repository root
 (and a readable table to ``benchmarks/results/vm_dispatch.txt``):
 
@@ -30,7 +34,8 @@ from repro.memory.models import make_model
 from repro.minic import compile_source
 from repro.synth import SynthesisConfig, SynthesisEngine
 from repro.vm.compile import CompiledVM
-from repro.vm.interp import VM
+
+from tests.reference.interp_vm import InterpVM
 
 pytestmark = [pytest.mark.slow]
 
@@ -62,7 +67,7 @@ MICRO_REPS = 5
 def _run_micro(compiled):
     """One full hot-loop execution; returns (steps, wall_s, result)."""
     module = compile_source(HOT_LOOP, "hot_loop")
-    cls = CompiledVM if compiled else VM
+    cls = CompiledVM if compiled else InterpVM
     vm = cls(module, make_model("sc"), max_steps=10_000_000)
     start = time.perf_counter()
     while True:
@@ -85,21 +90,21 @@ def _best_micro(compiled):
     return best
 
 
-def _synthesize_wsq(vm_backend, compiled):
-    vm_backend(compiled)
+def _synthesize_wsq(reference_vm, compiled):
     bundle = ALGORITHMS["chase_lev"]
     config = SynthesisConfig(
         memory_model="pso", flush_prob=bundle.flush_prob["pso"],
         executions_per_round=800, max_rounds=12, seed=7)
     engine = SynthesisEngine(config)
-    start = time.perf_counter()
-    result = engine.synthesize(bundle.compile(), bundle.spec("sc"),
-                               entries=bundle.entries,
-                               operations=bundle.operations)
-    return result, time.perf_counter() - start
+    with reference_vm(not compiled):
+        start = time.perf_counter()
+        result = engine.synthesize(bundle.compile(), bundle.spec("sc"),
+                                   entries=bundle.entries,
+                                   operations=bundle.operations)
+        return result, time.perf_counter() - start
 
 
-def test_vm_dispatch(vm_backend):
+def test_vm_dispatch(reference_vm):
     # -- steady-state dispatch rate ------------------------------------
     interp_steps, interp_wall, interp_result = _best_micro(False)
     comp_steps, comp_wall, comp_result = _best_micro(True)
@@ -110,8 +115,8 @@ def test_vm_dispatch(vm_backend):
     micro_speedup = comp_rate / interp_rate
 
     # -- end-to-end synthesis on the work-stealing deque ---------------
-    interp_synth, interp_synth_wall = _synthesize_wsq(vm_backend, False)
-    comp_synth, comp_synth_wall = _synthesize_wsq(vm_backend, True)
+    interp_synth, interp_synth_wall = _synthesize_wsq(reference_vm, False)
+    comp_synth, comp_synth_wall = _synthesize_wsq(reference_vm, True)
     fences = tuple((p.location(), p.kind.value)
                    for p in comp_synth.placements)
     assert comp_synth.outcome == interp_synth.outcome

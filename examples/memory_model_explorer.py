@@ -20,7 +20,7 @@ from collections import Counter
 from repro.memory import make_model
 from repro.minic import compile_source
 from repro.sched import FlushDelayScheduler
-from repro.vm import VM
+from repro.vm import make_vm
 
 SB = """
 int X; int Y;
@@ -65,7 +65,7 @@ def observe(source, globals_to_read, runs=400, flush_prob=0.25):
     for model_name in ("sc", "tso", "pso"):
         outcomes = Counter()
         for seed in range(runs):
-            vm = VM(module, make_model(model_name))
+            vm = make_vm(module, make_model(model_name))
             FlushDelayScheduler(seed=seed, flush_prob=flush_prob).run(vm)
             values = tuple(vm.memory.read(vm.memory.global_addr[g])
                            for g in globals_to_read)

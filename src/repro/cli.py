@@ -139,10 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: sleep+cache; every level yields "
                              "the same outcome set — 'none' mirrors the "
                              "replay baseline path-for-path)")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="run the audited generic interpreter instead "
-                             "of the closure-compiled VM (slower; results "
-                             "are identical)")
     parser.add_argument("--profile", action="store_true",
                         help="run the command under cProfile and append "
                              "the top-20 cumulative entries to the report")
@@ -182,27 +178,9 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-shrink", action="store_true",
                         help="skip delta-debugging failures (faster, "
                              "bigger reproducers)")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="run the audited generic interpreter instead "
-                             "of the closure-compiled VM (slower; results "
-                             "are identical)")
     parser.add_argument("--verbose", "-v", action="store_true",
                         help="per-seed progress on stderr")
     return parser
-
-
-def _select_interpreter() -> None:
-    """Make the generic interpreter the process-wide default backend.
-
-    Also exports ``REPRO_NO_COMPILE`` so multiprocess workers spawned
-    later (which re-read the environment default) follow suit.
-    """
-    import os
-
-    from .vm.compile import set_compiled_default
-
-    set_compiled_default(False)
-    os.environ["REPRO_NO_COMPILE"] = "1"
 
 
 def _profiled(fn, args) -> int:
@@ -226,8 +204,6 @@ def _fuzz(argv: List[str]) -> int:
     from .fuzz import OracleConfig, run_campaign
 
     args = build_fuzz_parser().parse_args(argv)
-    if args.no_compile:
-        _select_interpreter()
     oracle_kwargs = {}
     if args.models:
         oracle_kwargs["models"] = tuple(dict.fromkeys(args.models))
@@ -347,8 +323,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "fuzz":
         return _fuzz(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.no_compile:
-        _select_interpreter()
     if args.profile:
         return _profiled(_run_command, args)
     return _run_command(args)

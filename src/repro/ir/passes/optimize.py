@@ -84,14 +84,14 @@ def _const_of(operand, known: Dict[str, int]) -> Optional[int]:
 
 def _fold_one(instr, known):
     """Try to simplify one instruction; returns (replacement|None, n)."""
-    from ...vm.interp import _apply_binop, _apply_unop
+    from ...vm.compile import BINOP_FN, UNOP_FN
 
     if isinstance(instr, ins.BinOp):
         a = _const_of(instr.a, known)
         b = _const_of(instr.b, known)
         if a is not None and b is not None:
             try:
-                value = _apply_binop(instr.binop, a, b)
+                value = BINOP_FN[instr.binop](a, b)
             except Exception:
                 return (None, 0)  # e.g. division by zero: leave for runtime
             return (ins.ConstInstr(instr.label, instr.dst, value,
@@ -99,7 +99,7 @@ def _fold_one(instr, known):
     elif isinstance(instr, ins.UnOp):
         a = _const_of(instr.a, known)
         if a is not None:
-            value = _apply_unop(instr.unop, a)
+            value = UNOP_FN[instr.unop](a)
             return (ins.ConstInstr(instr.label, instr.dst, value,
                                    instr.src_line), 1)
     elif isinstance(instr, ins.Mov):

@@ -13,8 +13,7 @@ from .base import Scheduler
 from .explorer import REDUCTIONS, ExplorationResult, ExploreStats, explore
 from .flush_random import FlushDelayScheduler
 from .replay import ReplayScheduler, TracingScheduler, Witness
-from .round_robin import RoundRobinScheduler
 
 __all__ = ["ExplorationResult", "ExploreStats", "FlushDelayScheduler",
-           "REDUCTIONS", "ReplayScheduler", "RoundRobinScheduler",
-           "Scheduler", "TracingScheduler", "Witness", "explore"]
+           "REDUCTIONS", "ReplayScheduler", "Scheduler", "TracingScheduler",
+           "Witness", "explore"]

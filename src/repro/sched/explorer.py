@@ -533,11 +533,11 @@ def _snapshot_size(snap: VMSnapshot) -> int:
     """Pickled size of the execution state a snapshot copies.
 
     Functions are named, not pickled (they are shared, not copied), and
-    the explorer's caches — the per-frame dispatch cache, ``Thread.key``
+    the explorer's caches — the per-frame code cache, ``Thread.key``
     and ``Thread.step_option``, the memory fingerprint (last element of
     its snapshot), and the buffer fingerprint and flush options (last
-    two elements of the model's) — are left out, so both VM backends
-    report the same size.
+    two elements of the model's) — are left out, so the size does not
+    depend on the VM backend.
     """
     threads = [(t.tid, t.status.value, t.join_target, t.result,
                 [(f.fn.name, f.ip, f.regs, f.ret_dst, f.op_index)

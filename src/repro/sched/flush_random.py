@@ -126,8 +126,8 @@ class FlushDelayScheduler(Scheduler):
                 trace.append(("step", tid))
             step(tid)
             if por:
-                # The burst is budget-counted in underlying instructions on
-                # both VM backends, so schedules are backend-independent.
+                # The burst is budget-counted in underlying instructions,
+                # so superinstruction fusion never changes a schedule.
                 executed = run_local(tid, budget)
                 if executed and trace is not None:
                     trace.extend([("step", tid)] * executed)

@@ -5,13 +5,7 @@ and schedulers, operation-history recording, and built-in memory-safety
 checking.
 """
 
-from .compile import (
-    COMPILE_STATS,
-    CompiledVM,
-    compiled_default,
-    make_vm,
-    set_compiled_default,
-)
+from .compile import COMPILE_STATS, CompiledVM, make_vm
 from .driver import ExecutionResult, ExecutionStatus, run_execution, run_once
 from .errors import (
     AssertionViolation,
@@ -33,6 +27,5 @@ __all__ = [
     "ExecutionStatus", "Frame", "History", "InterpreterError",
     "MemorySafetyViolation", "NULL_GUARD", "Operation", "SharedMemory",
     "SpecViolationError", "StepLimitExceeded", "Thread", "ThreadStatus",
-    "VM", "VMError", "compiled_default", "make_vm", "run_execution",
-    "run_once", "set_compiled_default",
+    "VM", "VMError", "make_vm", "run_execution", "run_once",
 ]

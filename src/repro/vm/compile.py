@@ -1,12 +1,12 @@
-"""Closure-compiled DIR: a specializing template compiler for the VM.
+"""Closure-compiled DIR: the VM's one executing backend.
 
-The generic interpreter (:mod:`repro.vm.interp`) pays a per-instruction
-tax on every step: an attribute chase through ``instr.dst``/``instr.a``,
-an ``isinstance`` test per operand in ``_value``, a string-compare chain
-in ``_apply_binop``, and a label→index lookup per branch.  The paper's
-DFENCE amortizes the equivalent cost by riding LLVM ``lli``'s pre-decoded
-bytecode; this module is the reproduction's analogue: each function body
-is lowered *once* into a dense list of specialized Python closures —
+A generic interpreter pays a per-instruction tax on every step: an
+attribute chase through ``instr.dst``/``instr.a``, an ``isinstance``
+test per operand, a string-compare chain per operator, and a
+label→index lookup per branch.  The paper's DFENCE amortizes the
+equivalent cost by riding LLVM ``lli``'s pre-decoded bytecode; this
+module is the reproduction's analogue: each function body is lowered
+*once* into a dense list of specialized Python closures —
 
 * constants are inlined into the closure at compile time (and constant
   subexpressions folded when that cannot change error behaviour),
@@ -18,14 +18,12 @@ is lowered *once* into a dense list of specialized Python closures —
   fused into *superinstruction* closures, executed back to back without
   re-entering the step loop.
 
-Every instruction class has its own template, call and return included,
-except fork/join and page allocation: those delegate to the
-interpreter's handlers (see :func:`_compile_delegate`).
+Every instruction class has its own template.
 
 Superinstructions never change what a scheduler can observe: only
 thread-local register ops are fused, and they are only executed in bulk
 inside :meth:`CompiledVM.run_local` — the partial-order-reduction burst
-that both backends define as "run local instructions until the next
+that :meth:`VM.run_local` defines as "run local instructions until the next
 scheduler-visible action (load, store, CAS, fence, fork/join, operation
 call/return) or the budget runs out" (the explorer's burst under
 TSO/PSO runs buffered stores too, one at a time).  ``step()`` itself
@@ -33,8 +31,9 @@ always executes exactly one instruction, so every existing call site
 (round-robin, replay, explorer tree edges) keeps per-instruction
 semantics.  The ``steps``/``seq`` counters, coverage sets, and the
 step-limit check are maintained per *underlying instruction*, which is
-what makes compiled executions byte-identical to interpreted ones
-(outcomes, histories, predicates, traces) — see
+what makes compiled executions byte-identical to those of the generic
+interpreter the tests keep as a reference (``tests/reference/interp_vm.py``):
+outcomes, histories, predicates, traces — see
 ``tests/test_compile_equivalence.py``.
 
 Compiled bodies are cached per ``(function, body_version)``:
@@ -48,7 +47,7 @@ observable through :class:`~repro.vm.driver.ExecutionResult`:
 * If an :class:`InterpreterError` (division by zero) is raised from the
   middle of a superinstruction, ``vm.steps``/``vm.seq`` have already
   been bumped for the whole fused run.  The exception propagates out of
-  the driver either way, identically on both backends.
+  the driver just as it does from the reference.
 * ``_advance_local`` (exploration) interleaves different threads' local
   runs depth-first per thread instead of one-op round-robin; local ops
   commute, so the state at every decision point is identical.
@@ -57,7 +56,6 @@ observable through :class:`~repro.vm.driver.ExecutionResult`:
 from __future__ import annotations
 
 import operator
-import os
 import sys
 import time
 from typing import Callable, Dict, List, Tuple
@@ -67,8 +65,7 @@ from ..ir import instructions as ins
 from ..ir.function import Function
 from ..ir.operands import Const, Reg, Sym
 from .errors import AssertionViolation, InterpreterError, StepLimitExceeded
-from .interp import (
-    LOCAL_OPS, LOCAL_OPS_ASSERT, LOCAL_OPS_STORE, VM, _DISPATCH)
+from .interp import LOCAL_OPS, LOCAL_OPS_ASSERT, LOCAL_OPS_STORE, VM
 from .state import Frame, Thread, ThreadStatus
 
 #: A compiled instruction: executes its op(s) and sets ``frame.ip``.
@@ -84,45 +81,14 @@ _FINISHED = ThreadStatus.FINISHED
 _FUSABLE = frozenset((ins.ConstInstr, ins.Mov, ins.BinOp, ins.UnOp))
 
 
-# ----------------------------------------------------------------------
-# Backend selection (the --no-compile escape hatch)
-
-def _env_default() -> bool:
-    return os.environ.get("REPRO_NO_COMPILE", "") not in (
-        "1", "true", "yes", "on")
-
-
-#: Process-wide default backend: True → CompiledVM, False → generic VM.
-_COMPILED_DEFAULT = _env_default()
-
-
-def compiled_default() -> bool:
-    """The process-wide default VM backend (True = compiled)."""
-    return _COMPILED_DEFAULT
-
-
-def set_compiled_default(value: bool) -> None:
-    """Select the backend every later :func:`make_vm` call builds.
-
-    The CLI's ``--no-compile`` flag calls this (and exports
-    ``REPRO_NO_COMPILE=1`` so spawned worker processes follow suit;
-    forked ones inherit the module global).
-    """
-    global _COMPILED_DEFAULT
-    _COMPILED_DEFAULT = bool(value)
-
-
 def make_vm(module, model, **kwargs) -> VM:
-    """Build a VM on the process-default backend.
+    """Build the VM for one execution (a :class:`CompiledVM`).
 
-    This is the one place that picks the backend: compiled unless
-    ``--no-compile``/``REPRO_NO_COMPILE`` (or :func:`set_compiled_default`)
-    turned the audited generic interpreter back on.  Code that needs
-    both backends side by side builds :class:`VM`/:class:`CompiledVM`
-    directly.
+    Every execution, exploration and synthesis run builds its VM here,
+    so this is the one binding a test patches to run them on another
+    backend.
     """
-    cls = CompiledVM if _COMPILED_DEFAULT else VM
-    return cls(module, model, **kwargs)
+    return CompiledVM(module, model, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +170,8 @@ def _value_thunk(operand):
 
 
 # ----------------------------------------------------------------------
-# Operator tables (C-like semantics, matching interp._apply_binop/_unop)
+# Operator tables (C-like semantics on Python ints).  The optimizer's
+# constant folding evaluates with these tables too.
 
 def _div(a: int, b: int) -> int:
     if b == 0:
@@ -244,7 +211,7 @@ def _ge(a, b):
     return 1 if a >= b else 0
 
 
-_BINOP_FN = {
+BINOP_FN = {
     "add": operator.add, "sub": operator.sub, "mul": operator.mul,
     "div": _div, "mod": _mod,
     "and": operator.and_, "or": operator.or_, "xor": operator.xor,
@@ -252,7 +219,7 @@ _BINOP_FN = {
     "eq": _eq, "ne": _ne, "lt": _lt, "le": _le, "gt": _gt, "ge": _ge,
 }
 
-_UNOP_FN = {
+UNOP_FN = {
     "neg": operator.neg,
     "not": lambda a: 1 if a == 0 else 0,
     "bnot": operator.invert,
@@ -300,13 +267,12 @@ def _compile_mov(instr: ins.Mov, nxt: int) -> Closure:
 
 def _compile_binop(instr: ins.BinOp, nxt: int) -> Closure:
     dst = sys.intern(instr.dst.name)
-    fn = _BINOP_FN[instr.binop]
+    fn = BINOP_FN[instr.binop]
     ka, a = _operand(instr.a)
     kb, b = _operand(instr.b)
     if ka == "c" and kb == "c":
         # Constant folding — but only when evaluation cannot raise
-        # (div/mod by zero, negative shifts must fail at run time,
-        # exactly like the interpreter).
+        # (div/mod by zero, negative shifts must fail at run time).
         try:
             value = fn(a, b)
         except Exception:
@@ -342,7 +308,7 @@ def _compile_binop(instr: ins.BinOp, nxt: int) -> Closure:
 
 def _compile_unop(instr: ins.UnOp, nxt: int) -> Closure:
     dst = sys.intern(instr.dst.name)
-    fn = _UNOP_FN[instr.unop]
+    fn = UNOP_FN[instr.unop]
     kind, payload = _operand(instr.a)
     if kind == "c":
         value = fn(payload)
@@ -414,7 +380,7 @@ def _compile_store(instr: ins.Store, nxt: int) -> Closure:
         ga, gs = _thunk(ka, a), _thunk(ks, s)
 
         def op(vm, thread, frame):
-            # Interpreter evaluation order: address, then value.
+            # Evaluation order: address, then value.
             addr = ga(vm, frame)
             vm.model.write(thread.tid, addr, gs(vm, frame), label)
             frame.ip = nxt
@@ -535,8 +501,8 @@ def _compile_nop(instr: ins.Nop, nxt: int) -> Closure:
 def _compile_call(instr: ins.Call) -> Closure:
     """Push the callee's frame; the matching return advances the caller.
 
-    Same history record (call ``seq``), frame and argument binding as
-    :meth:`VM._do_call`, with the argument operands decoded once.
+    An operation call opens its history record at the call's ``seq``;
+    the argument operands are decoded once.
     """
     fn_name = instr.fn
     ret_dst = instr.dst
@@ -563,7 +529,7 @@ def _compile_call(instr: ins.Call) -> Closure:
 
 def _compile_ret(instr: ins.Ret) -> Closure:
     """Pop the frame, completing its history record, and hand the value
-    to the caller — or finish the thread (as :meth:`VM._do_ret`)."""
+    to the caller — or finish the thread."""
     kind, payload = ("c", 0) if instr.value is None else _operand(instr.value)
 
     def op(vm, thread, frame):
@@ -593,21 +559,65 @@ def _compile_ret(instr: ins.Ret) -> Closure:
     return op
 
 
-def _compile_delegate(instr: ins.Instr) -> Closure:
-    """Fallback template: reuse the audited generic handler.
+def _compile_fork(instr: ins.Fork, nxt: int) -> Closure:
+    """Spawn a thread running ``instr.fn``; its tid goes to ``dst``.
 
-    Used for fork/join and page allocation, whose cost is dominated by
-    the operation itself (spawning or draining a thread, updating the
-    region table), not operand decoding; they are also rare.  Delegation
-    keeps their semantics byte-for-byte the interpreter's by
-    construction.
+    Thread creation is a full fence (pthread_create synchronises-with
+    the start of the new thread), so the parent's buffered stores are
+    drained first and are visible to the child.
     """
-    handler = _DISPATCH.get(instr.__class__)
-    if handler is None:
-        raise InterpreterError("unknown instruction %r" % (instr,))
+    fn_name = instr.fn
+    dst = None if instr.dst is None else sys.intern(instr.dst.name)
+    getters = tuple(_value_thunk(arg) for arg in instr.args)
 
     def op(vm, thread, frame):
-        handler(vm, thread, frame, instr)
+        args = [get(vm, frame) for get in getters]
+        vm.model.drain(thread.tid)
+        child = vm._spawn(fn_name, args)
+        if dst is not None:
+            frame.regs[dst] = child
+        frame.ip = nxt
+    return op
+
+
+def _compile_join(instr: ins.Join, nxt: int) -> Closure:
+    """Join a finished thread (draining its buffers, the JOIN rule) or
+    block on it; :meth:`VM._complete_join` finishes a blocked join."""
+    get_tid = _value_thunk(instr.tid)
+
+    def op(vm, thread, frame):
+        target_tid = get_tid(vm, frame)
+        target = vm.threads.get(target_tid)
+        if target is None:
+            raise InterpreterError("join on unknown thread %d" % target_tid)
+        if target.status is _FINISHED:
+            vm.model.drain(target_tid)
+            frame.ip = nxt
+        else:
+            tid = thread.tid
+            thread.status = _BLOCKED_JOIN
+            thread.join_target = target_tid
+            vm._runnable.discard(tid)
+            vm._blocked_join[tid] = target_tid
+    return op
+
+
+def _compile_pagealloc(instr: ins.PageAlloc, nxt: int) -> Closure:
+    dst = sys.intern(instr.dst.name)
+    get_size = _value_thunk(instr.size)
+
+    def op(vm, thread, frame):
+        frame.regs[dst] = vm.memory.pagealloc(get_size(vm, frame))
+        frame.ip = nxt
+    return op
+
+
+def _compile_pagefree(instr: ins.PageFree, nxt: int) -> Closure:
+    get_addr = _value_thunk(instr.addr)
+
+    def op(vm, thread, frame):
+        vm.memory.pagefree(get_addr(vm, frame))
+        frame.ip = nxt
     return op
 
 
@@ -646,7 +656,15 @@ def _compile_instr(instr: ins.Instr, offset: int, fn: Function) -> Closure:
         return _compile_call(instr)
     if cls is ins.Ret:
         return _compile_ret(instr)
-    return _compile_delegate(instr)
+    if cls is ins.Fork:
+        return _compile_fork(instr, nxt)
+    if cls is ins.Join:
+        return _compile_join(instr, nxt)
+    if cls is ins.PageAlloc:
+        return _compile_pagealloc(instr, nxt)
+    if cls is ins.PageFree:
+        return _compile_pagefree(instr, nxt)
+    raise InterpreterError("unknown instruction %r" % (instr,))
 
 
 # ----------------------------------------------------------------------
@@ -657,8 +675,7 @@ def _fuse(parts: List[Closure]) -> Closure:
 
     Small runs are unrolled (no loop machinery); longer ones iterate.
     Each part still sets ``frame.ip``, so an exception raised mid-run
-    (division by zero) leaves the ip at the failing instruction, exactly
-    like the interpreter.
+    (division by zero) leaves the ip at the failing instruction.
     """
     n = len(parts)
     if n == 2:
@@ -795,14 +812,14 @@ def code_for(fn: Function) -> CompiledCode:
 class CompiledVM(VM):
     """A :class:`VM` that executes closure-compiled bodies.
 
-    Drop-in replacement: same constructor, same observable semantics
-    (the differential sweep asserts byte-identical outcomes, histories,
-    predicates, and synthesized fences).  ``snapshot()``/``restore()``
-    are inherited unchanged — compiled code is pure per-function data
+    The differential sweep asserts byte-identical outcomes, histories,
+    predicates and synthesized fences against the generic interpreter
+    kept as a test reference.  ``snapshot()``/``restore()`` are
+    inherited unchanged — compiled code is pure per-function data
     shared across frames and snapshots, and every offset keeps a
     single-op closure, so a restore into the middle of a fused run
     resumes one op at a time.  ``step``/``run_local`` clone a thread
-    shared with a snapshot before they mutate it, as ``VM.step`` does.
+    shared with a snapshot before they mutate it.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -835,9 +852,9 @@ class CompiledVM(VM):
             return
 
         frame = thread.frames[-1]
-        code = frame.handlers
+        code = frame.code
         if code is None:
-            code = frame.handlers = self._code_for(frame.fn)
+            code = frame.code = self._code_for(frame.fn)
         ip = frame.ip
         if self.coverage is not None:
             self.coverage.add(code.label_of[ip])
@@ -847,19 +864,19 @@ class CompiledVM(VM):
                   local: frozenset = LOCAL_OPS) -> int:
         """Budget-exact local burst over compiled code.
 
-        Executes the same underlying instruction sequence as the generic
-        :meth:`VM.run_local`, but fused runs that fit the remaining
-        budget go through one superinstruction closure; a run that would
-        overshoot the budget falls back to single-op closures, so the
-        burst never executes more instructions than the reference would.
+        Executes the instruction sequence :meth:`VM.run_local` defines,
+        but fused runs that fit the remaining budget go through one
+        superinstruction closure; a run that would overshoot the budget
+        falls back to single-op closures, so the burst never executes
+        more instructions than the budget.
         """
         thread = self.threads[tid]
         if thread.status is not _RUNNABLE:
             return 0
         frame = thread.frames[-1]
-        code = frame.handlers
+        code = frame.code
         if code is None:
-            code = frame.handlers = self._code_for(frame.fn)
+            code = frame.code = self._code_for(frame.fn)
         local = code.local[local]
         if not local[frame.ip]:
             return 0
@@ -892,7 +909,7 @@ class CompiledVM(VM):
                 if new_steps > max_steps:
                     # The limit falls inside this batch: revert to exact
                     # per-op accounting so the exception is raised at the
-                    # same instruction as the interpreter.
+                    # instruction that exceeds it.
                     while True:
                         steps += 1
                         if steps > max_steps:

@@ -97,8 +97,7 @@ def run_execution(module: Module, model: StoreBufferModel,
     the labels of executed instructions across runs.  A *sink* may also be
     supplied to reuse one :class:`PredicateSink` (and its intern table)
     across a worker's run loop; it is cleared before the execution.
-    The VM backend is the process default (see
-    :func:`~repro.vm.compile.make_vm`).
+    The VM is built by :func:`~repro.vm.compile.make_vm`.
     """
     if collect_predicates:
         if sink is None:

@@ -23,7 +23,7 @@ class ThreadStatus(enum.Enum):
 class Frame:
     """One activation record: function, registers, instruction pointer."""
 
-    __slots__ = ("fn", "regs", "ip", "ret_dst", "op_index", "handlers")
+    __slots__ = ("fn", "regs", "ip", "ret_dst", "op_index", "code")
 
     def __init__(self, fn: Function, ret_dst=None,
                  op_index: Optional[int] = None) -> None:
@@ -32,19 +32,20 @@ class Frame:
         self.ip = 0                     # index into fn.body
         self.ret_dst = ret_dst          # register in the caller's frame
         self.op_index = op_index        # history index to complete on return
-        self.handlers = None            # per-function dispatch cache (VM)
+        self.code = None                # the function's CompiledCode
 
     def clone(self) -> "Frame":
         """Copy for a copy-on-write thread: registers are copied, the
-        immutable function/dispatch cache is shared.  ``op_index`` is an
-        index into the VM's current history, so it needs no remapping."""
+        immutable function and its compiled code are shared.  ``op_index``
+        is an index into the VM's current history, so it needs no
+        remapping."""
         frame = Frame.__new__(Frame)
         frame.fn = self.fn
         frame.regs = self.regs.copy()
         frame.ip = self.ip
         frame.ret_dst = self.ret_dst
         frame.op_index = self.op_index
-        frame.handlers = self.handlers
+        frame.code = self.code
         return frame
 
     def __repr__(self) -> str:

@@ -8,8 +8,8 @@ useful control when testing the algorithms themselves.
 
 from __future__ import annotations
 
-from ..vm.interp import VM
-from .base import Scheduler
+from repro.sched.base import Scheduler
+from repro.vm.interp import VM
 
 
 class RoundRobinScheduler(Scheduler):

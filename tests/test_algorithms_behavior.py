@@ -11,15 +11,16 @@ import pytest
 from repro.algorithms import ALGORITHMS
 from repro.memory import make_model
 from repro.minic import compile_source
-from repro.sched import RoundRobinScheduler
-from repro.vm import VM
+from repro.vm import make_vm
+
+from tests.reference.round_robin import RoundRobinScheduler
 
 
 def run_client(bundle_name, client_source, entry="seqtest"):
     bundle = ALGORITHMS[bundle_name]
     module = compile_source(bundle.source + client_source,
                             bundle_name + "_behaviour")
-    vm = VM(module, make_model("sc"), entry=entry)
+    vm = make_vm(module, make_model("sc"), entry=entry)
     RoundRobinScheduler().run(vm)
     assert vm.all_finished()
     return vm.threads[0].result

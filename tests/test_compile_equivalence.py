@@ -1,13 +1,13 @@
 """Differential validation of the closure-compiled VM backend.
 
 :class:`repro.vm.compile.CompiledVM` must be observationally identical to
-the generic interpreter in :mod:`repro.vm.interp` — same outcomes, same
-operation histories, same ``avoid(p)`` predicates, same step/seq/flush
-counters, same coverage sets, and (through the engine) the same
-synthesized fences.  The interpreter is the audited reference; these
+the generic interpreter in ``tests/reference/interp_vm.py`` — same
+outcomes, same operation histories, same ``avoid(p)`` predicates, same
+step/seq/flush counters, same coverage sets, and (through the engine) the
+same synthesized fences.  The interpreter is the audited reference; these
 tests are what make the compiled backend trustworthy.  Each comparison
-runs the same code twice, switching the process-default backend with the
-``vm_backend`` fixture between runs.
+runs the same code twice, once inside a ``reference_vm`` block (every
+``make_vm`` builds the interpreter) and once outside it.
 
 The fast subset runs in every tier-1 invocation; the full sweep (whole
 litmus catalog, corpus reproducers, fresh fuzz programs per model) is
@@ -20,23 +20,35 @@ import os
 import pytest
 
 from repro.fuzz.generator import ProgramGenerator
-from repro.ir.instructions import BinOp, FenceKind, Store
+from repro.ir.instructions import (
+    BINARY_OPS,
+    UNARY_OPS,
+    BinOp,
+    FenceKind,
+    Store,
+)
 from repro.ir.passes.fences import insert_fence_after
 from repro.litmus import LITMUS_TESTS, thread_results
 from repro.memory.models import make_model
 from repro.minic import compile_source
+from repro.sched import explorer
 from repro.sched.explorer import explore
 from repro.sched.flush_random import FlushDelayScheduler
 from repro.spec import MemorySafetySpec
 from repro.synth import SynthesisConfig, SynthesisEngine
+from repro.vm import driver
 from repro.vm.compile import (
+    BINOP_FN,
     COMPILE_STATS,
+    UNOP_FN,
     CompiledVM,
     code_for,
     compile_stats_delta,
 )
 from repro.vm.driver import run_execution
 from repro.vm.errors import InterpreterError
+
+from tests.reference.interp_vm import InterpVM, _apply_binop, _apply_unop
 
 MODELS = ["sc", "tso", "pso"]
 FAST_LITMUS = ["sb", "mp", "coww", "sb_one_fence"]
@@ -105,34 +117,35 @@ def _result_fingerprint(result):
             result.flushes, result.thread_results, predicates, history)
 
 
-def assert_executions_equivalent(vm_backend, module, model_name,
+def assert_executions_equivalent(reference_vm, module, model_name,
                                  operations=(), seeds=range(EXEC_SEEDS),
                                  flush_prob=0.4):
     """Seed-for-seed, the two backends produce identical executions."""
     for seed in seeds:
         prints = []
-        for compiled in (False, True):
-            vm_backend(compiled)
-            scheduler = FlushDelayScheduler(seed=seed,
-                                            flush_prob=flush_prob)
-            coverage = set()
-            result = run_execution(
-                module, make_model(model_name), scheduler,
-                operations=operations, coverage=coverage,
-                max_steps=20_000)
-            prints.append((_result_fingerprint(result),
-                           frozenset(coverage)))
+        for reference in (True, False):
+            with reference_vm(reference):
+                scheduler = FlushDelayScheduler(seed=seed,
+                                                flush_prob=flush_prob)
+                coverage = set()
+                result = run_execution(
+                    module, make_model(model_name), scheduler,
+                    operations=operations, coverage=coverage,
+                    max_steps=20_000)
+                prints.append((_result_fingerprint(result),
+                               frozenset(coverage)))
         assert prints[0] == prints[1], (model_name, seed)
 
 
-def assert_explorations_equivalent(vm_backend, module, model_name,
+def assert_explorations_equivalent(reference_vm, module, model_name,
                                    max_paths=60_000, max_steps=2_000):
     """Exhaustive enumeration agrees path-for-path across backends."""
     runs = []
-    for compiled in (False, True):
-        vm_backend(compiled)
-        runs.append(explore(module, model_name, outcome_fn=thread_results,
-                            max_paths=max_paths, max_steps=max_steps))
+    for reference in (True, False):
+        with reference_vm(reference):
+            runs.append(explore(module, model_name,
+                                outcome_fn=thread_results,
+                                max_paths=max_paths, max_steps=max_steps))
     base, new = runs
     assert new.complete == base.complete, model_name
     assert new.outcomes == base.outcomes, model_name
@@ -143,49 +156,88 @@ def assert_explorations_equivalent(vm_backend, module, model_name,
 # ----------------------------------------------------------------------
 # Fast subset (tier-1)
 
+def test_reference_vm_rebinds_every_make_vm(reference_vm):
+    module = compile_source(SB_SOURCE, "sb")
+    for reference, cls in ((True, InterpVM), (False, CompiledVM)):
+        with reference_vm(reference):
+            for binding in (driver.make_vm, explorer.make_vm):
+                assert type(binding(module, make_model("sc"))) is cls
+
+
+#: Operands for the operator tables: negative, zero and positive, so
+#: every sign combination and every zero divisor is covered.
+OPERANDS = (-9, -7, -2, -1, 0, 1, 2, 3, 7, 64)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InterpreterError, ValueError) as exc:  # negative shift counts
+        return type(exc)
+
+
+def test_operator_tables_match_reference():
+    """The compiler's (and the optimizer's) operator tables agree with
+    the reference interpreter's evaluation on every operator."""
+    assert set(BINOP_FN) == BINARY_OPS
+    assert set(UNOP_FN) == UNARY_OPS
+    for op in sorted(BINARY_OPS):
+        for a in OPERANDS:
+            for b in OPERANDS:
+                expected = _outcome(_apply_binop, op, a, b)
+                assert _outcome(BINOP_FN[op], a, b) == expected, (op, a, b)
+    for op in ("div", "mod"):
+        for a in OPERANDS:
+            assert _outcome(_apply_binop, op, a, 0) is InterpreterError
+            assert _outcome(BINOP_FN[op], a, 0) is InterpreterError
+    for op in sorted(UNARY_OPS):
+        for a in OPERANDS:
+            assert _outcome(UNOP_FN[op], a) == _outcome(_apply_unop, op, a)
+
 @pytest.mark.parametrize("name", FAST_LITMUS)
 @pytest.mark.parametrize("model", MODELS)
-def test_litmus_executions_match(vm_backend, name, model):
-    assert_executions_equivalent(vm_backend, LITMUS_TESTS[name].compile(),
+def test_litmus_executions_match(reference_vm, name, model):
+    assert_executions_equivalent(reference_vm, LITMUS_TESTS[name].compile(),
                                  model)
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_operation_histories_match(vm_backend, model):
+def test_operation_histories_match(reference_vm, model):
     """Recorded operations (call/ret seq numbers included) agree."""
     module = compile_source(OP_SOURCE, "ops")
-    assert_executions_equivalent(vm_backend, module, model,
+    assert_executions_equivalent(reference_vm, module, model,
                                  operations=("bump",))
 
 
 @pytest.mark.parametrize("name", FAST_LITMUS)
 @pytest.mark.parametrize("model", MODELS)
-def test_litmus_explorations_match(vm_backend, name, model):
-    assert_explorations_equivalent(vm_backend, LITMUS_TESTS[name].compile(),
+def test_litmus_explorations_match(reference_vm, name, model):
+    assert_explorations_equivalent(reference_vm, LITMUS_TESTS[name].compile(),
                                    model)
 
 
 @pytest.mark.parametrize("model,source",
                          [pytest.param("tso", SB_SOURCE, id="tso-sb"),
                           pytest.param("pso", MP_ASSERT, id="pso-mp")])
-def test_synthesized_fences_match(vm_backend, model, source):
+def test_synthesized_fences_match(reference_vm, model, source):
     """The whole engine — rounds, clauses, placements — is backend-blind."""
     results = []
-    for compiled in (False, True):
-        vm_backend(compiled)
-        engine = SynthesisEngine(SynthesisConfig(
-            memory_model=model, flush_prob=0.3, executions_per_round=200,
-            max_rounds=6, seed=7))
-        module = compile_source(source, "prog")
-        result = engine.synthesize(module, MemorySafetySpec())
-        results.append((
-            result.outcome,
-            result.total_executions,
-            tuple((p.location(), p.kind.value) for p in result.placements),
-            tuple((r.violations, r.discarded, r.clauses,
-                   tuple(f.fence_label for f in r.inserted))
-                  for r in result.rounds),
-        ))
+    for reference in (True, False):
+        with reference_vm(reference):
+            engine = SynthesisEngine(SynthesisConfig(
+                memory_model=model, flush_prob=0.3,
+                executions_per_round=200, max_rounds=6, seed=7))
+            module = compile_source(source, "prog")
+            result = engine.synthesize(module, MemorySafetySpec())
+            results.append((
+                result.outcome,
+                result.total_executions,
+                tuple((p.location(), p.kind.value)
+                      for p in result.placements),
+                tuple((r.violations, r.discarded, r.clauses,
+                       tuple(f.fence_label for f in r.inserted))
+                      for r in result.rounds),
+            ))
     assert results[0] == results[1]
 
 
@@ -222,14 +274,14 @@ def test_fence_insertion_recompiles_only_repaired_function():
     assert delta["cache_hits"] == 1
 
 
-def test_repaired_module_executes_identically(vm_backend):
+def test_repaired_module_executes_identically(reference_vm):
     """After a fence lands, both backends see the repaired body."""
     module = compile_source(SB_SOURCE, "sb")
     store_label = next(i.label for i in module.functions["main"].body
                        if isinstance(i, Store))
     insert_fence_after(module, store_label, FenceKind.FULL)
     for model in MODELS:
-        assert_executions_equivalent(vm_backend, module, model,
+        assert_executions_equivalent(reference_vm, module, model,
                                      seeds=range(4))
 
 
@@ -278,12 +330,12 @@ def test_error_inside_fused_run_counts_the_whole_run():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("model", MODELS)
-def test_sweep_litmus_catalog(vm_backend, model):
+def test_sweep_litmus_catalog(reference_vm, model):
     for name in sorted(LITMUS_TESTS):
         module = LITMUS_TESTS[name].compile()
-        assert_executions_equivalent(vm_backend, module, model,
+        assert_executions_equivalent(reference_vm, module, model,
                                      seeds=range(4))
-        assert_explorations_equivalent(vm_backend, module, model,
+        assert_explorations_equivalent(reference_vm, module, model,
                                        max_paths=120_000)
 
 
@@ -291,20 +343,20 @@ def test_sweep_litmus_catalog(vm_backend, model):
 @pytest.mark.parametrize("path", CORPUS_FILES,
                          ids=[os.path.basename(p) for p in CORPUS_FILES])
 @pytest.mark.parametrize("model", MODELS)
-def test_sweep_corpus(vm_backend, path, model):
+def test_sweep_corpus(reference_vm, path, model):
     with open(path) as handle:
         module = compile_source(handle.read(), os.path.basename(path))
-    assert_executions_equivalent(vm_backend, module, model, seeds=range(4))
-    assert_explorations_equivalent(vm_backend, module, model)
+    assert_executions_equivalent(reference_vm, module, model, seeds=range(4))
+    assert_explorations_equivalent(reference_vm, module, model)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("model", MODELS)
-def test_sweep_fuzz_programs(vm_backend, model):
+def test_sweep_fuzz_programs(reference_vm, model):
     generator = ProgramGenerator()
     for seed in range(FUZZ_SEEDS):
         module = generator.generate(seed).compile()
-        assert_executions_equivalent(vm_backend, module, model,
+        assert_executions_equivalent(reference_vm, module, model,
                                      seeds=range(4))
-        assert_explorations_equivalent(vm_backend, module, model,
+        assert_explorations_equivalent(reference_vm, module, model,
                                        max_paths=120_000, max_steps=4_000)

@@ -157,12 +157,12 @@ class TestExplorerMechanics:
         # exhaustive set (soundness of the sampler).
         from repro.memory import make_model
         from repro.sched import FlushDelayScheduler
-        from repro.vm import VM
+        from repro.vm import make_vm
 
         module = compile_source(SB)
         exact = result_outcomes(SB, "pso")
         for seed in range(60):
-            vm = VM(module, make_model("pso"))
+            vm = make_vm(module, make_model("pso"))
             FlushDelayScheduler(seed=seed, flush_prob=0.3).run(vm)
             sampled = tuple(vm.threads[tid].result
                             for tid in sorted(vm.threads))

@@ -186,12 +186,12 @@ def test_catalog_has_no_step_limited_leaves(name, model):
     assert result.stats.cycles == 0
 
 
-def test_snapshot_bytes_same_on_both_backends(vm_backend):
+def test_snapshot_bytes_same_on_both_backends(reference_vm):
     sizes = {}
     for compiled in (True, False):
-        vm_backend(compiled)
-        stats = explore(LITMUS_TESTS["sb"].compile(), "tso",
-                        outcome_fn=thread_results).stats
-        sizes[compiled] = stats.snapshot_bytes
+        with reference_vm(not compiled):
+            stats = explore(LITMUS_TESTS["sb"].compile(), "tso",
+                            outcome_fn=thread_results).stats
+            sizes[compiled] = stats.snapshot_bytes
     assert sizes[True] > 0
     assert sizes[True] == sizes[False]

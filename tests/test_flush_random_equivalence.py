@@ -92,39 +92,39 @@ BACKENDS = [pytest.param(True, id="compiled"),
 
 @pytest.mark.parametrize("compiled", BACKENDS)
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-def test_table2_bundles(vm_backend, compiled, name):
-    vm_backend(compiled)
-    bundle = ALGORITHMS[name]
-    module = bundle.compile()
-    for model in MODELS:
-        for index, entry in enumerate(bundle.entries):
-            assert_loops_equal(module, _factory(model), entry=entry,
-                               operations=bundle.operations,
-                               seed=100 * index)
+def test_table2_bundles(reference_vm, compiled, name):
+    with reference_vm(not compiled):
+        bundle = ALGORITHMS[name]
+        module = bundle.compile()
+        for model in MODELS:
+            for index, entry in enumerate(bundle.entries):
+                assert_loops_equal(module, _factory(model), entry=entry,
+                                   operations=bundle.operations,
+                                   seed=100 * index)
 
 
 @pytest.mark.parametrize("compiled", BACKENDS)
 @pytest.mark.parametrize("name", sorted(LITMUS_TESTS))
-def test_litmus_catalog(vm_backend, compiled, name):
-    vm_backend(compiled)
-    module = LITMUS_TESTS[name].compile()
-    for model in MODELS:
-        assert_loops_equal(module, _factory(model))
-    for broken in BROKEN:
-        assert_loops_equal(module, broken)
+def test_litmus_catalog(reference_vm, compiled, name):
+    with reference_vm(not compiled):
+        module = LITMUS_TESTS[name].compile()
+        for model in MODELS:
+            assert_loops_equal(module, _factory(model))
+        for broken in BROKEN:
+            assert_loops_equal(module, broken)
 
 
 @pytest.mark.parametrize("compiled", BACKENDS)
 @pytest.mark.parametrize("path", CORPUS_FILES,
                          ids=[os.path.basename(p) for p in CORPUS_FILES])
-def test_corpus(vm_backend, compiled, path):
-    vm_backend(compiled)
-    with open(path) as handle:
-        module = compile_source(handle.read(), os.path.basename(path))
-    for model in MODELS:
-        assert_loops_equal(module, _factory(model))
-    for broken in BROKEN:
-        assert_loops_equal(module, broken)
+def test_corpus(reference_vm, compiled, path):
+    with reference_vm(not compiled):
+        with open(path) as handle:
+            module = compile_source(handle.read(), os.path.basename(path))
+        for model in MODELS:
+            assert_loops_equal(module, _factory(model))
+        for broken in BROKEN:
+            assert_loops_equal(module, broken)
 
 
 # ----------------------------------------------------------------------

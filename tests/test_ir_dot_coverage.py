@@ -4,11 +4,13 @@ from repro.algorithms import ALGORITHMS
 from repro.ir.dot import cfg_to_dot, module_to_dot
 from repro.memory import make_model
 from repro.minic import compile_source
-from repro.sched import FlushDelayScheduler, RoundRobinScheduler
+from repro.sched import FlushDelayScheduler
 from repro.spec import MemorySafetySpec
 from repro.synth import SynthesisConfig, SynthesisEngine
-from repro.vm import VM
+from repro.vm import make_vm
 from repro.vm.driver import run_execution
+
+from tests.reference.round_robin import RoundRobinScheduler
 
 
 class TestDotExport:
@@ -51,7 +53,7 @@ class TestCoverage:
     def test_straight_line_coverage_complete(self):
         module = compile_source("int main() { int a = 1; return a; }")
         covered = set()
-        vm = VM(module, make_model("sc"), coverage=covered)
+        vm = make_vm(module, make_model("sc"), coverage=covered)
         RoundRobinScheduler().run(vm)
         all_labels = {i.label for i in module.function("main").body}
         assert covered == all_labels
@@ -60,8 +62,8 @@ class TestCoverage:
         module = compile_source(
             "int main(int c) { if (c) { return 1; } return 2; }")
         covered = set()
-        vm = VM(module, make_model("sc"), entry_args=(0,),
-                coverage=covered)
+        vm = make_vm(module, make_model("sc"), entry_args=(0,),
+                     coverage=covered)
         RoundRobinScheduler().run(vm)
         all_labels = {i.label for i in module.function("main").body}
         assert covered < all_labels
@@ -70,13 +72,13 @@ class TestCoverage:
         module = compile_source(
             "int main(int c) { if (c) { return 1; } return 2; }")
         one_branch = set()
-        vm = VM(module, make_model("sc"), entry_args=(0,),
-                coverage=one_branch)
+        vm = make_vm(module, make_model("sc"), entry_args=(0,),
+                     coverage=one_branch)
         RoundRobinScheduler().run(vm)
         both_branches = set()
         for arg in (0, 1):
-            vm = VM(module, make_model("sc"), entry_args=(arg,),
-                    coverage=both_branches)
+            vm = make_vm(module, make_model("sc"), entry_args=(arg,),
+                         coverage=both_branches)
             RoundRobinScheduler().run(vm)
         assert one_branch < both_branches
 
@@ -89,5 +91,5 @@ class TestCoverage:
 
     def test_no_coverage_by_default(self):
         module = compile_source("int main() { return 0; }")
-        vm = VM(module, make_model("sc"))
+        vm = make_vm(module, make_model("sc"))
         assert vm.coverage is None

@@ -14,12 +14,13 @@ from repro.ir.passes import (
 from repro.ir.verifier import verify_module
 from repro.memory import make_model
 from repro.minic import compile_source
-from repro.sched import RoundRobinScheduler
-from repro.vm import VM
+from repro.vm import make_vm
+
+from tests.reference.round_robin import RoundRobinScheduler
 
 
 def run_main(module, entry="main"):
-    vm = VM(module, make_model("sc"), entry=entry)
+    vm = make_vm(module, make_model("sc"), entry=entry)
     RoundRobinScheduler().run(vm)
     return vm.threads[0].result
 
@@ -91,7 +92,7 @@ class TestUnreachable:
     def test_reachable_code_preserved(self):
         src = "int main(int c) { if (c) { return 1; } return 2; }"
         module = compile_source(src, optimize=True)
-        vm = VM(module, make_model("sc"), entry="main", entry_args=(0,))
+        vm = make_vm(module, make_model("sc"), entry="main", entry_args=(0,))
         RoundRobinScheduler().run(vm)
         assert vm.threads[0].result == 2
 

@@ -20,7 +20,7 @@ import pytest
 from repro.memory import make_model
 from repro.minic import compile_source
 from repro.sched import FlushDelayScheduler
-from repro.vm import VM
+from repro.vm import make_vm
 
 RUNS = 120
 FLUSH_PROB = 0.25
@@ -87,7 +87,7 @@ def outcomes(source, globals_to_read, model_name, runs=RUNS):
     module = compile_source(source)
     seen = set()
     for seed in range(runs):
-        vm = VM(module, make_model(model_name))
+        vm = make_vm(module, make_model(model_name))
         FlushDelayScheduler(seed=seed, flush_prob=FLUSH_PROB).run(vm)
         seen.add(tuple(vm.memory.read(vm.memory.global_addr[g])
                        for g in globals_to_read))

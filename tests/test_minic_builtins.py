@@ -5,13 +5,15 @@ import pytest
 from repro.ir.instructions import Cas, Fence, FenceKind, Fork, Join, PageAlloc
 from repro.memory import make_model
 from repro.minic import CompileError, compile_source
-from repro.sched import FlushDelayScheduler, RoundRobinScheduler
-from repro.vm import VM
+from repro.sched import FlushDelayScheduler
+from repro.vm import make_vm
+
+from tests.reference.round_robin import RoundRobinScheduler
 
 
 def result_of(source, model="sc"):
     module = compile_source(source)
-    vm = VM(module, make_model(model))
+    vm = make_vm(module, make_model(model))
     RoundRobinScheduler().run(vm)
     return vm.threads[0].result
 
@@ -71,13 +73,13 @@ class TestFences:
         fenced = compile_source(src % "fence_ss();")
         saw_bad = False
         for seed in range(80):
-            vm = VM(unfenced, make_model("pso"))
+            vm = make_vm(unfenced, make_model("pso"))
             FlushDelayScheduler(seed=seed, flush_prob=0.3).run(vm)
             if vm.threads[0].result == 1:
                 saw_bad = True
         assert saw_bad, "PSO reordering never observed without fence"
         for seed in range(80):
-            vm = VM(fenced, make_model("pso"))
+            vm = make_vm(fenced, make_model("pso"))
             FlushDelayScheduler(seed=seed, flush_prob=0.3).run(vm)
             assert vm.threads[0].result == 0
 
@@ -145,7 +147,7 @@ class TestLockUnlock:
         module = compile_source(src)
         for model_name in ("sc", "tso", "pso"):
             for seed in range(6):
-                vm = VM(module, make_model(model_name))
+                vm = make_vm(module, make_model(model_name))
                 FlushDelayScheduler(seed=seed, flush_prob=0.4).run(vm)
                 assert vm.threads[0].result == 40, (model_name, seed)
 
@@ -182,6 +184,6 @@ class TestLockUnlock:
         # check executions terminate and BAD is 0 or 1.
         module = compile_source(src)
         for seed in range(30):
-            vm = VM(module, make_model("pso"))
+            vm = make_vm(module, make_model("pso"))
             FlushDelayScheduler(seed=seed, flush_prob=0.4).run(vm)
             assert vm.threads[0].result in (0, 1)

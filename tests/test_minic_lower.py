@@ -5,13 +5,14 @@ import pytest
 
 from repro.memory import make_model
 from repro.minic import CompileError, compile_source
-from repro.sched import RoundRobinScheduler
-from repro.vm import VM
+from repro.vm import make_vm
+
+from tests.reference.round_robin import RoundRobinScheduler
 
 
 def result_of(source, model="sc"):
     module = compile_source(source)
-    vm = VM(module, make_model(model))
+    vm = make_vm(module, make_model(model))
     RoundRobinScheduler().run(vm)
     return vm.threads[0].result
 

@@ -6,8 +6,9 @@ from repro.algorithms import ALGORITHMS
 from repro.memory import make_model
 from repro.minic import compile_source, parse
 from repro.minic.pretty import ast_equal, pretty
-from repro.sched import RoundRobinScheduler
-from repro.vm import VM
+from repro.vm import make_vm
+
+from tests.reference.round_robin import RoundRobinScheduler
 
 
 def roundtrip(source):
@@ -42,7 +43,7 @@ class TestRoundTrip:
         """
 
         def run(text):
-            vm = VM(compile_source(text), make_model("sc"))
+            vm = make_vm(compile_source(text), make_model("sc"))
             RoundRobinScheduler().run(vm)
             return vm.threads[0].result
 

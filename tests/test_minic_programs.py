@@ -9,13 +9,14 @@ import pytest
 
 from repro.memory import make_model
 from repro.minic import compile_source
-from repro.sched import RoundRobinScheduler
-from repro.vm import VM
+from repro.vm import make_vm
+
+from tests.reference.round_robin import RoundRobinScheduler
 
 
 def run(source, entry="main", args=()):
     module = compile_source(source)
-    vm = VM(module, make_model("sc"), entry=entry, entry_args=args)
+    vm = make_vm(module, make_model("sc"), entry=entry, entry_args=args)
     RoundRobinScheduler().run(vm)
     return vm.threads[0].result
 
@@ -187,7 +188,7 @@ class TestConcurrentPrograms:
         expected = sum(range(10)) + sum(100 + i for i in range(10))
         for model in ("sc", "tso", "pso"):
             for seed in range(4):
-                vm = VM(module, make_model(model))
+                vm = make_vm(module, make_model(model))
                 FlushDelayScheduler(seed=seed, flush_prob=0.3).run(vm)
                 assert vm.threads[0].result == expected
 
@@ -209,7 +210,7 @@ class TestConcurrentPrograms:
         from repro.sched import FlushDelayScheduler
         for model in ("tso", "pso"):
             for seed in range(6):
-                vm = VM(module, make_model(model))
+                vm = make_vm(module, make_model(model))
                 FlushDelayScheduler(seed=seed, flush_prob=0.2).run(vm)
                 # fork/join ordering makes this fully deterministic even
                 # under relaxed models.
@@ -257,6 +258,6 @@ class TestConcurrentPrograms:
         expected = sum(i * 2 for i in range(8))
         for model in ("tso", "pso"):
             for seed in range(4):
-                vm = VM(module, make_model(model))
+                vm = make_vm(module, make_model(model))
                 FlushDelayScheduler(seed=seed, flush_prob=0.4).run(vm)
                 assert vm.threads[0].result == expected, (model, seed)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.memory import make_model
 from repro.minic import compile_source
 from repro.sched import FlushDelayScheduler
-from repro.vm import VM
+from repro.vm import make_vm
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +79,7 @@ def expressions(draw, depth=3):
 
 def run_program(source, model_name="sc", seed=0):
     module = compile_source(source)
-    vm = VM(module, make_model(model_name))
+    vm = make_vm(module, make_model(model_name))
     FlushDelayScheduler(seed=seed, flush_prob=0.4).run(vm)
     return vm.threads[0].result
 

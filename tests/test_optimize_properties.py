@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from repro.memory import make_model
 from repro.minic import compile_source
-from repro.sched import RoundRobinScheduler
-from repro.vm import VM
+from repro.vm import make_vm
+
+from tests.reference.round_robin import RoundRobinScheduler
 
 
 @st.composite
@@ -42,7 +43,7 @@ def expressions(draw, depth=3):
 
 
 def run_module(module, entry="main"):
-    vm = VM(module, make_model("sc"), entry=entry)
+    vm = make_vm(module, make_model("sc"), entry=entry)
     RoundRobinScheduler().run(vm)
     return vm.threads[0].result
 
@@ -76,9 +77,9 @@ def test_optimizer_preserves_control_flow(expr, arg):
     """ % text
     plain = compile_source(source)
     optimized = compile_source(source, optimize=True)
-    vm1 = VM(plain, make_model("sc"), entry_args=(arg,))
+    vm1 = make_vm(plain, make_model("sc"), entry_args=(arg,))
     RoundRobinScheduler().run(vm1)
-    vm2 = VM(optimized, make_model("sc"), entry_args=(arg,))
+    vm2 = make_vm(optimized, make_model("sc"), entry_args=(arg,))
     RoundRobinScheduler().run(vm2)
     assert vm1.threads[0].result == vm2.threads[0].result
 
@@ -98,9 +99,9 @@ def test_optimizer_preserves_shared_memory_contents(values):
     """ % stores
     plain = compile_source(source)
     optimized = compile_source(source, optimize=True)
-    vm1 = VM(plain, make_model("sc"))
+    vm1 = make_vm(plain, make_model("sc"))
     RoundRobinScheduler().run(vm1)
-    vm2 = VM(optimized, make_model("sc"))
+    vm2 = make_vm(optimized, make_model("sc"))
     RoundRobinScheduler().run(vm2)
     base1 = vm1.memory.global_addr["arr"]
     base2 = vm2.memory.global_addr["arr"]

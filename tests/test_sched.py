@@ -4,9 +4,11 @@ import pytest
 
 from repro.memory import make_model
 from repro.minic import compile_source
-from repro.sched import FlushDelayScheduler, RoundRobinScheduler
-from repro.vm import VM, ExecutionStatus
+from repro.sched import FlushDelayScheduler
+from repro.vm import ExecutionStatus, make_vm
 from repro.vm.driver import run_execution
+
+from tests.reference.round_robin import RoundRobinScheduler
 
 MP_SOURCE = """
 // Message passing: writer publishes DATA then FLAG; reader spins on FLAG.
@@ -47,7 +49,7 @@ class TestFlushDelayScheduler:
         for _ in range(2):
             model = make_model("pso")
             sched = FlushDelayScheduler(seed=99, flush_prob=0.4)
-            vm = VM(module, model)
+            vm = make_vm(module, model)
             sched.run(vm)
             results.append((vm.steps, vm.memory.read(
                 vm.memory.global_addr["OUT"])))
@@ -68,7 +70,7 @@ class TestFlushDelayScheduler:
         for seed in range(40):
             model = make_model("tso")
             sched = FlushDelayScheduler(seed=seed, flush_prob=0.2)
-            vm = VM(module, model)
+            vm = make_vm(module, model)
             sched.run(vm)
             out = vm.memory.read(vm.memory.global_addr["OUT"])
             assert out == 42
@@ -80,7 +82,7 @@ class TestFlushDelayScheduler:
         for seed in range(60):
             model = make_model("pso")
             sched = FlushDelayScheduler(seed=seed, flush_prob=0.3)
-            vm = VM(module, model)
+            vm = make_vm(module, model)
             sched.run(vm)
             seen.add(vm.memory.read(vm.memory.global_addr["OUT"]))
         assert 0 in seen, "PSO relaxation never observed"
@@ -91,7 +93,7 @@ class TestFlushDelayScheduler:
         module = compile_source(src)
         for por in (True, False):
             model = make_model("sc")
-            vm = VM(module, model)
+            vm = make_vm(module, model)
             FlushDelayScheduler(seed=1, por=por).run(vm)
             assert vm.threads[0].result == 36
 
@@ -100,7 +102,7 @@ class TestRoundRobinScheduler:
     def test_runs_to_completion(self):
         module = compile_source(MP_SOURCE)
         model = make_model("pso")
-        vm = VM(module, model)
+        vm = make_vm(module, model)
         RoundRobinScheduler(quantum=3).run(vm)
         assert vm.all_finished()
         assert vm.memory.read(vm.memory.global_addr["OUT"]) == 42
@@ -114,7 +116,7 @@ class TestRoundRobinScheduler:
         steps = []
         for _ in range(2):
             model = make_model("tso")
-            vm = VM(module, model)
+            vm = make_vm(module, model)
             RoundRobinScheduler().run(vm)
             steps.append(vm.steps)
         assert steps[0] == steps[1]

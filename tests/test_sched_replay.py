@@ -12,7 +12,7 @@ from repro.sched import (
 )
 from repro.spec import MemorySafetySpec
 from repro.synth import SynthesisConfig, SynthesisEngine
-from repro.vm import VM, ExecutionStatus
+from repro.vm import ExecutionStatus, make_vm
 from repro.vm.driver import run_execution
 
 MP_ASSERT = """
@@ -55,9 +55,9 @@ class TestTracingAndReplay:
         module = compile_source(SB)
         for seed in range(20):
             tracer = TracingScheduler(seed=seed, flush_prob=0.3)
-            vm1 = VM(module, make_model("pso"))
+            vm1 = make_vm(module, make_model("pso"))
             tracer.run(vm1)
-            vm2 = VM(module, make_model("pso"))
+            vm2 = make_vm(module, make_model("pso"))
             ReplayScheduler(tracer.trace).run(vm2)
             assert thread_results(vm1) == thread_results(vm2)
             assert vm1.memory.cells == vm2.memory.cells
@@ -82,14 +82,14 @@ class TestTracingAndReplay:
     def test_trace_records_flushes(self):
         module = compile_source(SB)
         tracer = TracingScheduler(seed=1, flush_prob=0.5)
-        vm = VM(module, make_model("pso"))
+        vm = make_vm(module, make_model("pso"))
         tracer.run(vm)
         kinds = {event[0] for event in tracer.trace}
         assert "step" in kinds
 
     def test_replay_tail_finishes_short_traces(self):
         module = compile_source(SB)
-        vm = VM(module, make_model("pso"))
+        vm = make_vm(module, make_model("pso"))
         ReplayScheduler([]).run(vm)  # empty trace: tail finishes the run
         assert vm.all_finished()
 

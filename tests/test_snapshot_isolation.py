@@ -55,7 +55,7 @@ def _assert_tid_order(vm):
 
 
 @pytest.fixture
-def isolated_explore(monkeypatch, vm_backend):
+def isolated_explore(monkeypatch, reference_vm):
     """``explore`` with every restore checked against its snapshot;
     returns ``(result, snapshots, restores)``."""
     records = {}
@@ -89,15 +89,16 @@ def isolated_explore(monkeypatch, vm_backend):
     monkeypatch.setattr(explorer._Search, "_visit", checked_visit)
 
     def run(compiled, module, model, operations=(), **kwargs):
-        vm_backend(compiled)
-        if operations:
-            make_vm = explorer.make_vm
+        with reference_vm(not compiled), monkeypatch.context() as patch:
+            if operations:
+                make_vm = explorer.make_vm
 
-            def recording_make_vm(*args, **make_kwargs):
-                return make_vm(*args, operations=operations, **make_kwargs)
-            monkeypatch.setattr(explorer, "make_vm", recording_make_vm)
-        result = explorer.explore(module, model, outcome_fn=thread_results,
-                                  **kwargs)
+                def recording_make_vm(*args, **make_kwargs):
+                    return make_vm(*args, operations=operations,
+                                   **make_kwargs)
+                patch.setattr(explorer, "make_vm", recording_make_vm)
+            result = explorer.explore(module, model,
+                                      outcome_fn=thread_results, **kwargs)
         return result, len(records), len(restores)
     return run
 

@@ -5,14 +5,15 @@ import pytest
 
 from repro.memory import make_model
 from repro.minic import compile_source
-from repro.sched import FlushDelayScheduler, RoundRobinScheduler
-from repro.vm import VM
+from repro.sched import FlushDelayScheduler
+from repro.vm import make_vm
+
 from tests.reference.replay_explore import explore
 
 
 def run(source, model="sc", seed=0, flush_prob=0.3, entry="main"):
     module = compile_source(source)
-    vm = VM(module, make_model(model), entry=entry)
+    vm = make_vm(module, make_model(model), entry=entry)
     FlushDelayScheduler(seed=seed, flush_prob=flush_prob).run(vm)
     return vm
 

@@ -12,7 +12,7 @@ from repro.vm import (
     History,
     InterpreterError,
     Operation,
-    VM,
+    make_vm,
     run_execution,
     run_once,
 )
@@ -110,7 +110,7 @@ class TestVMEdgeCases:
         b.join(Reg("nonexistent"))  # reads 0... which is main itself
         b.ret()
         b.finish()
-        vm = VM(m, make_model("sc"))
+        vm = make_vm(m, make_model("sc"))
         # Joining yourself can never complete: scheduler sees no enabled
         # threads -> deadlock.
         with pytest.raises(DeadlockError):
@@ -118,7 +118,7 @@ class TestVMEdgeCases:
 
     def test_stepping_finished_thread_rejected(self):
         module = compile_source("int main() { return 0; }")
-        vm = VM(module, make_model("sc"))
+        vm = make_vm(module, make_model("sc"))
         while not vm.all_finished():
             vm.step(0)
         with pytest.raises(InterpreterError):
@@ -126,7 +126,7 @@ class TestVMEdgeCases:
 
     def test_entry_args_bound(self):
         module = compile_source("int main(int a, int b) { return a - b; }")
-        vm = VM(module, make_model("sc"), entry_args=(10, 4))
+        vm = make_vm(module, make_model("sc"), entry_args=(10, 4))
         while not vm.all_finished():
             vm.step(0)
         assert vm.threads[0].result == 6
@@ -134,17 +134,17 @@ class TestVMEdgeCases:
     def test_entry_arity_mismatch(self):
         module = compile_source("int main(int a) { return a; }")
         with pytest.raises(InterpreterError):
-            VM(module, make_model("sc"), entry_args=())
+            make_vm(module, make_model("sc"), entry_args=())
 
     def test_peek_returns_next_instruction(self):
         module = compile_source("int G; int main() { G = 1; return 0; }")
-        vm = VM(module, make_model("sc"))
+        vm = make_vm(module, make_model("sc"))
         first = vm.peek(0)
         assert first is module.function("main").body[0]
 
     def test_tids_with_pending(self):
         module = compile_source("int G; int main() { G = 1; return 0; }")
-        vm = VM(module, make_model("pso"))
+        vm = make_vm(module, make_model("pso"))
         vm.step(0)  # const
         vm.step(0)  # store (buffered)
         assert vm.tids_with_pending() == [0]

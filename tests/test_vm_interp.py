@@ -1,17 +1,19 @@
-"""Unit tests for the DIR interpreter (via MiniC programs and raw IR)."""
+"""Unit tests for VM semantics (via MiniC programs and raw IR), on the VM
+that ``make_vm`` builds."""
 
 import pytest
 
 from repro.ir import Const, GlobalVar, IRBuilder, Module, Reg, Sym
 from repro.minic import compile_source
-from repro.sched import RoundRobinScheduler
 from repro.vm import (
     ExecutionStatus,
     InterpreterError,
-    VM,
+    make_vm,
     run_once,
 )
 from repro.memory import make_model
+
+from tests.reference.round_robin import RoundRobinScheduler
 
 
 def run_main(source, model="sc", seed=0, **kwargs):
@@ -23,7 +25,7 @@ def main_result(source, model="sc", seed=0):
     """Run and return main's return value (via a result global)."""
     module = compile_source(source)
     model_obj = make_model(model)
-    vm = VM(module, model_obj, entry="main")
+    vm = make_vm(module, model_obj, entry="main")
     RoundRobinScheduler().run(vm)
     return vm.threads[0].result
 
@@ -56,7 +58,7 @@ class TestArithmetic:
     def test_division_by_zero_is_interpreter_error(self):
         module = compile_source("int Z; int main() { return 5 / Z; }")
         model = make_model("sc")
-        vm = VM(module, model)
+        vm = make_vm(module, model)
         with pytest.raises(InterpreterError):
             while not vm.all_finished():
                 vm.step(0)

@@ -12,7 +12,9 @@ import pytest
 from repro.memory.models import make_model
 from repro.minic import compile_source
 from repro.vm.compile import CompiledVM, make_vm
-from repro.vm.interp import LOCAL_OPS, VM
+from repro.vm.interp import LOCAL_OPS
+
+from tests.reference.interp_vm import InterpVM
 
 SB_SOURCE = """
 int X; int Y;
@@ -73,7 +75,7 @@ def _observable_state(vm):
 @pytest.mark.parametrize("model", MODELS)
 def test_snapshot_restore_roundtrip(model):
     module = compile_source(SB_SOURCE, "sb")
-    vm = VM(module, make_model(model), max_steps=500)
+    vm = make_vm(module, make_model(model), max_steps=500)
     _drive(vm, 6)
     snap = vm.snapshot()
     before = _observable_state(vm)
@@ -91,7 +93,7 @@ def test_snapshot_restore_roundtrip(model):
 def test_snapshot_is_isolated_from_execution(model):
     """Running past a snapshot must not mutate the snapshot."""
     module = compile_source(SB_SOURCE, "sb")
-    vm = VM(module, make_model(model), max_steps=500)
+    vm = make_vm(module, make_model(model), max_steps=500)
     _drive(vm, 5)
     snap = vm.snapshot()
     reference = vm.snapshot()
@@ -115,7 +117,7 @@ def test_restore_shares_until_first_mutation(model):
     clones that thread alone, and the first write copies memory, so the
     snapshot still holds its state for the next restore."""
     module = compile_source(SB_SOURCE, "sb")
-    for cls in (VM, CompiledVM):
+    for cls in (InterpVM, CompiledVM):
         vm = cls(module, make_model(model), max_steps=500)
         _drive(vm, 2)
         guard = 0
@@ -148,7 +150,7 @@ def test_restore_rebuilds_scheduling_sets(model):
     """enabled_tids/tids_with_pending are incremental sets; a restore
     must leave them consistent with a full scan of the thread table."""
     module = compile_source(SB_SOURCE, "sb")
-    vm = VM(module, make_model(model), max_steps=500)
+    vm = make_vm(module, make_model(model), max_steps=500)
     _drive(vm, 4)
     snap = vm.snapshot()
     _run_to_end(vm)
@@ -165,17 +167,15 @@ def test_restore_rebuilds_scheduling_sets(model):
     assert vm.tids_with_pending() == pending_scan
 
 
-@pytest.mark.parametrize("compiled", [True, False],
+@pytest.mark.parametrize("cls", [CompiledVM, InterpVM],
                          ids=["compiled", "interpreted"])
-def test_history_cloned_with_inflight_operations(vm_backend, compiled):
+def test_history_cloned_with_inflight_operations(cls):
     """Snapshots taken inside a recorded operation hold their own copy of
     the in-flight record, which frames reach through ``op_index``, so
     completing the restored run does not retroactively complete the
     finished history's record, nor the snapshot's."""
-    vm_backend(compiled)
     module = compile_source(OP_SOURCE, "ops")
-    vm = make_vm(module, make_model("sc"), operations=("bump",),
-                 max_steps=500)
+    vm = cls(module, make_model("sc"), operations=("bump",), max_steps=500)
     # Step until we are inside the first bump() call.
     while not any(f.op_index is not None
                   for t in vm.threads.values() for f in t.frames):
@@ -253,7 +253,7 @@ def test_compiled_and_interpreted_snapshots_agree(model):
     """Step-for-step, both backends expose the same observable state."""
     module = compile_source(SB_SOURCE, "sb")
     vms = [cls(module, make_model(model), max_steps=500)
-           for cls in (VM, CompiledVM)]
+           for cls in (InterpVM, CompiledVM)]
     for _ in range(6):
         for vm in vms:
             _drive(vm, 1)
@@ -293,7 +293,7 @@ def test_restore_mid_superinstruction_resumes_singly():
 @pytest.mark.parametrize("model", ["tso", "pso"])
 def test_snapshot_captures_buffered_stores(model):
     module = compile_source(SB_SOURCE, "sb")
-    vm = VM(module, make_model(model), max_steps=500)
+    vm = make_vm(module, make_model(model), max_steps=500)
     # Step main until its store to Y is buffered.
     while not vm.model.has_pending(0):
         vm.step(0)
