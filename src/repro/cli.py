@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", "-j", type=_workers_arg, default=None,
                         help="worker processes for round execution "
                              "(default: in-process serial; 0 = one per "
-                             "CPU; results are identical either way)")
+                             "CPU; serial where os.fork is missing; "
+                             "results are identical either way)")
     parser.add_argument("--witness-limit", type=_nonnegative_arg,
                         default=5, metavar="N",
                         help="violation witnesses kept per round "

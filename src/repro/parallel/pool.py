@@ -6,8 +6,8 @@ repair.  Two implementations exist:
 
 * :class:`~repro.parallel.serial.SerialPool` — runs jobs in-process, in
   order.  Zero dependencies, zero IPC; the default.
-* :class:`~repro.parallel.process.ProcessPool` — fans batches of jobs out
-  to ``concurrent.futures.ProcessPoolExecutor`` workers.
+* :class:`~repro.parallel.process.ProcessPool` — forks worker processes
+  and deals each one an interleaved share of every round.
 
 Both yield :class:`~repro.parallel.summary.ExecutionSummary` records in
 strict execution-index order, which is the determinism contract: the
@@ -41,8 +41,8 @@ class ExecutionPool:
             ...
         pool.close()
 
-    ``run`` returns a generator; closing it early (e.g. ``break``) cancels
-    outstanding work where the backend supports cancellation.
+    ``run`` returns a generator; closing it early (e.g. ``break``) skips
+    the summaries not yet taken.
     """
 
     def broadcast(self, module: Module, spec: Specification,
@@ -81,20 +81,21 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 def make_pool(workers: Optional[int], model_name: str,
               flush_prob: float, por: bool = True,
-              max_steps: int = DEFAULT_MAX_STEPS,
-              chunk_size: Optional[int] = None) -> ExecutionPool:
+              max_steps: int = DEFAULT_MAX_STEPS) -> ExecutionPool:
     """Build the execution backend selected by *workers*.
 
     ``None`` selects :class:`SerialPool`; ``0`` selects a
     :class:`ProcessPool` sized to ``os.cpu_count()``; a positive integer
-    selects a :class:`ProcessPool` with exactly that many workers.
+    selects a :class:`ProcessPool` with exactly that many workers.  Where
+    ``os.fork`` does not exist, every setting selects :class:`SerialPool`,
+    which returns the same results.
     """
     from .process import ProcessPool
     from .serial import SerialPool
 
     count = resolve_workers(workers)
-    if count == 0:
+    if count == 0 or not hasattr(os, "fork"):
         return SerialPool(model_name, flush_prob, por=por,
                           max_steps=max_steps)
     return ProcessPool(count, model_name, flush_prob, por=por,
-                       max_steps=max_steps, chunk_size=chunk_size)
+                       max_steps=max_steps)

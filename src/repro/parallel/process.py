@@ -1,31 +1,32 @@
 """The multiprocess execution backend.
 
-Built on :class:`concurrent.futures.ProcessPoolExecutor`:
+:class:`ProcessPool` forks ``workers`` children on the first ``run()``
+after a ``broadcast()``; each child inherits the module, spec and run
+configuration, and keeps one store-buffer model and predicate sink for
+all its executions.  A round deals child *k* the share ``jobs[k::n]``
+over its :func:`multiprocessing.Pipe`; the child answers with one list of
+compact :class:`ExecutionSummary` records, and ``run`` yields them in
+execution-index order (summary *i* is item ``i // n`` of share
+``i % n``).  After a re-broadcast the next round pickles the snapshot
+once and sends the blob with every share.
 
-* A per-worker initializer installs the static run configuration (memory
-  model name, flush probability, POR, step budget) and allocates one
-  long-lived :class:`StoreBufferModel` + :class:`PredicateSink` pair that
-  every execution in that worker reuses.
-* The engine broadcasts the module under repair (and the spec) as one
-  pickled blob per round; each *batch* submission carries the blob plus
-  its version, and a worker deserializes it only when the version moved —
-  i.e. once per worker per round, re-broadcast after every ``enforce()``.
-* Jobs are shipped in batches (chunks) to amortize IPC, and come back as
-  compact :class:`ExecutionSummary` records, never live VM objects.
-
-``run`` yields summaries in execution-index order regardless of worker
-scheduling: batches are submitted in index order and their futures are
-consumed in submission order.  Closing the generator early cancels every
-batch that has not started yet.
+``close()`` closes the pipes, which stops the children, and reaps them.
+A ``run()`` closed before its last summary (round decided,
+``test_program`` early stop), and a child that dies or raises, SIGKILL
+and reap every child, and for a failed child ``run()`` raises
+:class:`RuntimeError` with its exit status; the next round forks fresh
+children.  The parent runs no other thread, so forking it is safe.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Iterator, List, Optional, Sequence
+import signal
+import sys
+import traceback
+from multiprocessing import Pipe
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..ir.module import Module
 from ..memory.models import make_model
@@ -36,67 +37,28 @@ from .pool import ExecutionPool, Job
 from .serial import run_jobs
 from .summary import ExecutionSummary
 
-#: Target number of batches per worker: >1 so a slow batch cannot stall
-#: the round (load balancing), small enough to amortize per-batch IPC.
-BATCHES_PER_WORKER = 4
-
-# ----------------------------------------------------------------------
-# Worker-side state (one copy per worker process)
-
+#: A worker's snapshot and its version, and its ``run_jobs`` settings.
 _worker_state: dict = {}
 
 
-def _init_worker(model_name: str, flush_prob: float, por: bool,
-                 max_steps: int) -> None:
-    """Per-worker initializer: static config + reusable model and sink."""
-    _worker_state.clear()
-    _worker_state.update(
-        model=make_model(model_name),
-        sink=PredicateSink(),
-        flush_prob=flush_prob,
-        por=por,
-        max_steps=max_steps,
-        version=None,
-        module=None,
-        spec=None,
-        operations=(),
-        worker="pid%d" % os.getpid(),
-    )
-
-
-def _run_batch(version: int, blob: bytes,
+def _run_batch(version: int, blob: Optional[bytes],
                jobs: List[Job]) -> List[ExecutionSummary]:
-    """Execute one batch of jobs against the blob's module snapshot."""
+    """Execute one share of jobs against the snapshot of *version*: the
+    pickled *blob*, or None when the worker already holds it."""
     state = _worker_state
-    if state.get("version") != version:
-        module, spec, operations = pickle.loads(blob)
-        state["version"] = version
-        state["module"] = module
-        state["spec"] = spec
-        state["operations"] = operations
-    return list(run_jobs(jobs, state["module"], state["spec"],
-                         state["operations"], state["model"], state["sink"],
-                         state["flush_prob"], state["por"],
-                         state["max_steps"], worker=state["worker"]))
-
-
-def _mp_context():
-    """Prefer fork (cheap workers, no re-import) where it exists."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-# ----------------------------------------------------------------------
+    if state["version"] != version:
+        state.update(version=version, snapshot=pickle.loads(blob))
+    module, spec, operations = state["snapshot"]
+    return list(run_jobs(jobs, module, spec, operations, *state["config"],
+                         worker=state["worker"]))
 
 
 class ProcessPool(ExecutionPool):
-    """Fans rounds of executions out to worker processes."""
+    """Fans rounds of executions out to forked worker processes."""
 
     def __init__(self, workers: int, model_name: str, flush_prob: float,
-                 por: bool = True, max_steps: int = DEFAULT_MAX_STEPS,
-                 chunk_size: Optional[int] = None) -> None:
+                 por: bool = True,
+                 max_steps: int = DEFAULT_MAX_STEPS) -> None:
         if workers < 1:
             raise ValueError("ProcessPool needs at least one worker")
         self.workers = workers
@@ -104,64 +66,104 @@ class ProcessPool(ExecutionPool):
         self.flush_prob = flush_prob
         self.por = por
         self.max_steps = max_steps
-        self.chunk_size = chunk_size
-        self._executor: Optional[ProcessPoolExecutor] = None
         self._version = 0
-        self._blob: Optional[bytes] = None
+        self._snapshot: Optional[tuple] = None
+        #: ``(pid, pipe end)`` of each live child, in share order.
+        self._children: list = []
+        #: The snapshot version the live children hold.
+        self._child_version = 0
 
     # -- lifecycle -----------------------------------------------------
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=_mp_context(),
-                initializer=_init_worker,
-                initargs=(self.model_name, self.flush_prob, self.por,
-                          self.max_steps))
-        return self._executor
+    def _fork(self) -> None:
+        for _ in range(self.workers):
+            conn, child_conn = Pipe()
+            pid = os.fork()
+            if pid == 0:
+                conn.close()
+                self._serve(child_conn)
+            child_conn.close()
+            self._children.append((pid, conn))
+        self._child_version = self._version
+
+    def _serve(self, conn) -> None:
+        """A child's loop: run each share received until the parent
+        closes the pipe.  Never returns."""
+        status = 1
+        try:
+            for _, sibling in self._children:
+                sibling.close()
+            _worker_state.update(
+                version=self._version, snapshot=self._snapshot,
+                config=(make_model(self.model_name), PredicateSink(),
+                        self.flush_prob, self.por, self.max_steps),
+                worker="pid%d" % os.getpid())
+            while True:
+                try:
+                    message = conn.recv()
+                except EOFError:
+                    break
+                # Looked up per share, so a wrapper installed on the
+                # module global before the fork runs here too.
+                conn.send(_run_batch(*message))
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            # Never unwind into the parent's stack copied by the fork.
+            os._exit(status)
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        self._reap()
+
+    def _reap(self, kill: bool = False) -> Dict[int, int]:
+        """Close every pipe (and SIGKILL the child if *kill*), then reap
+        the children; returns each one's exit status."""
+        children, self._children = self._children, []
+        for pid, conn in children:
+            conn.close()
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+        return {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                for pid, _ in children}
 
     # -- round protocol ------------------------------------------------
 
     def broadcast(self, module: Module, spec: Specification,
                   operations: Sequence[str] = ()) -> None:
-        """Pickle the module snapshot once; workers deserialize lazily."""
+        """Publish a new snapshot; live children get it pickled with
+        their next share, children forked later inherit it."""
         self._version += 1
-        self._blob = pickle.dumps(
-            (module, spec, tuple(operations)),
-            protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _chunk(self, jobs: List[Job]) -> List[List[Job]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-len(jobs) // (self.workers * BATCHES_PER_WORKER)))
-        return [jobs[i:i + size] for i in range(0, len(jobs), size)]
+        self._snapshot = (module, spec, tuple(operations))
 
     def run(self, jobs: Iterable[Job]) -> Iterator[ExecutionSummary]:
-        if self._blob is None:
+        if self._snapshot is None:
             raise RuntimeError("broadcast() must be called before run()")
         job_list = list(jobs)
-        return self._run_batches(job_list)
-
-    def _run_batches(self, job_list: List[Job]
-                     ) -> Iterator[ExecutionSummary]:
         if not job_list:
             return
-        executor = self._ensure_executor()
-        futures = [executor.submit(_run_batch, self._version, self._blob,
-                                   batch)
-                   for batch in self._chunk(job_list)]
+        if not self._children:
+            self._fork()
+        blob = None
+        if self._child_version != self._version:
+            blob = pickle.dumps(self._snapshot,
+                                protocol=pickle.HIGHEST_PROTOCOL)
+            self._child_version = self._version
+        count = len(self._children)  # short of workers if a fork failed
+        done = False
         try:
-            for future in futures:
-                for summary in future.result():
-                    yield summary
+            for k, (pid, conn) in enumerate(self._children):
+                conn.send((self._version, blob, job_list[k::count]))
+            shares = []
+            for pid, conn in self._children:
+                shares.append(conn.recv())
+            for index in range(len(job_list)):
+                yield shares[index % count][index // count]
+            done = True
+        except (EOFError, OSError):
+            raise RuntimeError("worker pid %d exited with status %d" % (
+                pid, self._reap(kill=True)[pid])) from None
         finally:
-            # Early generator close (engine round decided, test_program
-            # early stop): drop every batch that has not started.
-            for future in futures:
-                future.cancel()
+            if not done:
+                self._reap(kill=True)

@@ -62,7 +62,6 @@ class SynthesisConfig:
                  merge_fences: bool = True, por: bool = True,
                  abort_on_unfixable: bool = False,
                  workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
                  witness_limit: int = 5) -> None:
         self.memory_model = memory_model
         self.flush_prob = flush_prob
@@ -80,8 +79,6 @@ class SynthesisConfig:
         #: violating executions of the same round do expose.
         self.abort_on_unfixable = abort_on_unfixable
         self.workers = workers
-        #: Jobs per worker batch (None → sized by the pool).
-        self.chunk_size = chunk_size
         if witness_limit < 0:
             raise ValueError("witness_limit must be non-negative")
         #: Reproducible violation witnesses kept per round (0 disables).
@@ -220,8 +217,7 @@ class SynthesisEngine:
         """Build the execution backend selected by ``config.workers``."""
         cfg = self.config
         return make_pool(cfg.workers, cfg.memory_model, cfg.flush_prob,
-                         por=cfg.por, max_steps=cfg.max_steps,
-                         chunk_size=cfg.chunk_size)
+                         por=cfg.por, max_steps=cfg.max_steps)
 
     # ------------------------------------------------------------------
 
@@ -356,8 +352,8 @@ class SynthesisEngine:
         """Merge one round's summaries (in index order) into the report.
 
         Returns True when the abort-on-unfixable policy fired; remaining
-        executions are then cancelled/skipped, exactly like the serial
-        loop's early return.
+        summaries are then skipped, exactly like the serial loop's early
+        return.
         """
         cfg = self.config
         rec = self.recorder
@@ -409,9 +405,9 @@ class SynthesisEngine:
         seed space, so validating a repaired program samples fresh
         schedules instead of replaying the executions synthesis saw.
 
-        With ``stop_on_first_violation`` the sampling stops — and, on the
-        multiprocess backend, outstanding batches are cancelled — as soon
-        as one violation is found; ``runs`` then reflects only the
+        With ``stop_on_first_violation`` the merge stops as soon as one
+        violation is found (the multiprocess backend has already run the
+        whole share of each worker); ``runs`` then reflects only the
         executions actually merged.  Plain counting always runs every
         execution to completion.
         """

@@ -139,8 +139,7 @@ def test_early_stop_serial_equals_parallel():
     module = compile_source(MP_ASSERT)
     stats = {}
     for workers in (None, 2):
-        engine = SynthesisEngine(config("pso", 0.3, 3, workers,
-                                        chunk_size=10))
+        engine = SynthesisEngine(config("pso", 0.3, 3, workers))
         stats[workers] = engine.test_program(
             module, MemorySafetySpec(), executions=200,
             stop_on_first_violation=True)

@@ -1,6 +1,8 @@
 """Unit tests for the parallel execution backends."""
 
+import os
 import pickle
+import signal
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.parallel import (
 )
 from repro.sched.flush_random import FlushDelayScheduler
 from repro.spec import MemorySafetySpec
+from repro.synth import SynthesisConfig, SynthesisEngine
 from repro.vm.driver import run_execution
 
 MP = """
@@ -46,6 +49,24 @@ int main() { write(7); read(); return 0; }
 
 def make_jobs(n, entry="main", base_seed=0):
     return [(i, entry, base_seed + i) for i in range(n)]
+
+
+def assert_no_children():
+    """Every worker this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class DyingSpec(MemorySafetySpec):
+    """Kills the worker that checks an execution."""
+
+    def check(self, result):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+class RaisingSpec(MemorySafetySpec):
+    def check(self, result):
+        raise ValueError("spec failed in a worker")
 
 
 class TestExecutionSummary:
@@ -108,6 +129,11 @@ class TestResolveWorkers:
         assert isinstance(pool, ProcessPool)
         pool.close()
 
+    def test_no_fork_is_serial(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert isinstance(make_pool(2, "pso", 0.3), SerialPool)
+        assert isinstance(make_pool(0, "pso", 0.3), SerialPool)
+
 
 class TestSerialPool:
     def test_requires_broadcast(self):
@@ -126,14 +152,19 @@ class TestSerialPool:
 
 
 class TestProcessPool:
-    def test_chunking(self):
-        pool = ProcessPool(2, "pso", 0.3)
-        batches = pool._chunk(make_jobs(33))
-        assert sum(len(b) for b in batches) == 33
-        assert [job for batch in batches for job in batch] == make_jobs(33)
-        explicit = ProcessPool(2, "pso", 0.3, chunk_size=10)
-        assert [len(b) for b in explicit._chunk(make_jobs(33))] == \
-            [10, 10, 10, 3]
+    def test_interleaved_shares(self):
+        # Worker k runs jobs[k::2]; the merge is in index order.
+        module = compile_source(MP)
+        with ProcessPool(2, "pso", 0.3) as pool:
+            pool.broadcast(module, MemorySafetySpec())
+            for n in (33, 1, 0):
+                got = list(pool.run(make_jobs(n)))
+                assert [s.index for s in got] == list(range(n))
+                workers = [s.worker for s in got]
+                for k in range(2):
+                    assert len(set(workers[k::2])) <= 1
+                if n > 1:
+                    assert workers[0] != workers[1]
 
     def test_matches_serial(self):
         module = compile_source(MP)
@@ -165,7 +196,7 @@ class TestProcessPool:
 
     def test_early_close_keeps_pool_usable(self):
         module = compile_source(MP)
-        with ProcessPool(2, "pso", 0.3, chunk_size=5) as pool:
+        with ProcessPool(2, "pso", 0.3) as pool:
             pool.broadcast(module, MemorySafetySpec())
             summaries = pool.run(make_jobs(40))
             seen = []
@@ -184,3 +215,67 @@ class TestProcessPool:
         with ProcessPool(2, "pso", 0.3) as pool:
             pool.broadcast(module, MemorySafetySpec())
             assert list(pool.run([])) == []
+
+    @pytest.mark.parametrize("spec,status", [(DyingSpec(), -signal.SIGKILL),
+                                             (RaisingSpec(), 1)],
+                             ids=["dies", "raises"])
+    def test_worker_failure_is_an_error(self, spec, status, capfd):
+        module = compile_source(MP)
+        with ProcessPool(2, "pso", 0.3) as pool:
+            pool.broadcast(module, spec)
+            with pytest.raises(RuntimeError,
+                               match="exited with status %d$" % status):
+                list(pool.run(make_jobs(10)))
+            assert_no_children()
+            # The next round forks fresh workers.
+            pool.broadcast(module, MemorySafetySpec())
+            got = list(pool.run(make_jobs(10)))
+            assert [s.index for s in got] == list(range(10))
+        assert_no_children()
+        if status == 1:
+            assert "spec failed in a worker" in capfd.readouterr().err
+
+    def test_dead_worker_between_rounds(self):
+        module = compile_source(MP)
+        with ProcessPool(2, "pso", 0.3) as pool:
+            pool.broadcast(module, MemorySafetySpec())
+            list(pool.run(make_jobs(4)))
+            os.kill(pool._children[1][0], signal.SIGKILL)
+            with pytest.raises(RuntimeError, match="status -9$"):
+                list(pool.run(make_jobs(4)))
+            assert_no_children()
+
+
+class TestNoLeakedWorkers:
+    def engine(self):
+        return SynthesisEngine(SynthesisConfig(
+            memory_model="pso", flush_prob=0.3, executions_per_round=40,
+            max_rounds=3, seed=3, workers=2))
+
+    def test_after_synthesize(self):
+        self.engine().synthesize(compile_source(MP), MemorySafetySpec())
+        assert_no_children()
+
+    def test_after_early_stop(self):
+        stats = self.engine().test_program(
+            compile_source(MP), MemorySafetySpec(), executions=200,
+            stop_on_first_violation=True)
+        assert stats.violations == 1
+        assert_no_children()
+
+    def test_after_early_closed_run(self):
+        with ProcessPool(2, "pso", 0.3) as pool:
+            pool.broadcast(compile_source(MP), MemorySafetySpec())
+            summaries = pool.run(make_jobs(40))
+            for _ in range(3):
+                next(summaries)
+            summaries.close()
+            assert_no_children()
+
+    def test_after_double_close(self):
+        pool = ProcessPool(2, "pso", 0.3)
+        pool.broadcast(compile_source(MP), MemorySafetySpec())
+        list(pool.run(make_jobs(4)))
+        pool.close()
+        pool.close()
+        assert_no_children()
