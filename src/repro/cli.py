@@ -181,6 +181,15 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
                              "bigger reproducers)")
     parser.add_argument("--verbose", "-v", action="store_true",
                         help="per-seed progress on stderr")
+    parser.add_argument("--trace", metavar="FILE",
+                        help="write a Chrome trace-event JSON with one "
+                             "span per oracle and seed")
+    parser.add_argument("--metrics", action="store_true",
+                        help="print the metrics block (explore/* "
+                             "counters, span timing) after the summary")
+    parser.add_argument("--profile", action="store_true",
+                        help="run the campaign under cProfile and append "
+                             "the top-20 cumulative entries to the report")
     return parser
 
 
@@ -202,9 +211,17 @@ def _profiled(fn, args) -> int:
 
 
 def _fuzz(argv: List[str]) -> int:
+    args = build_fuzz_parser().parse_args(argv)
+    if args.profile:
+        return _profiled(_fuzz_command, args)
+    return _fuzz_command(args)
+
+
+def _fuzz_command(args) -> int:
+    """The parsed ``repro fuzz`` body (separate so --profile can wrap
+    it)."""
     from .fuzz import OracleConfig, run_campaign
 
-    args = build_fuzz_parser().parse_args(argv)
     oracle_kwargs = {}
     if args.models:
         oracle_kwargs["models"] = tuple(dict.fromkeys(args.models))
@@ -222,13 +239,18 @@ def _fuzz(argv: List[str]) -> int:
                      len(program.threads), oracle_report),
                   file=sys.stderr)
 
+    # -v prints the per-seed lines above, not the synthesis round
+    # progress, so only --metrics/--trace ask for a recorder.
+    recorder = _make_recorder(args, progress=False)
     report = run_campaign(
         seed=args.seed, iters=args.iters,
         oracle_config=OracleConfig(**oracle_kwargs),
         corpus_dir=args.corpus_dir,
         shrink_failures=not args.no_shrink,
-        progress=progress)
+        progress=progress,
+        recorder=recorder or NULL_RECORDER)
     print(report.summary())
+    _emit_observability(args, recorder)
     return 0 if report.ok else 1
 
 
@@ -384,13 +406,18 @@ def _run_command(args) -> int:
     return 0 if result.outcome.value == "clean" else 2
 
 
-def _make_recorder(args) -> Optional[Recorder]:
-    """Build the observability recorder the flags ask for (or None)."""
-    if not (args.trace or args.metrics or args.verbose):
+def _make_recorder(args, progress: bool = True) -> Optional[Recorder]:
+    """Build the observability recorder the flags ask for (or None).
+
+    With *progress*, ``--verbose`` asks for live round progress too;
+    commands whose ``-v`` prints something else pass ``progress=False``.
+    """
+    verbose = progress and args.verbose
+    if not (args.trace or args.metrics or verbose):
         return None
     return Recorder(
         tracer=SpanTracer() if args.trace else None,
-        progress=ProgressReporter(sys.stderr) if args.verbose else None)
+        progress=ProgressReporter(sys.stderr) if verbose else None)
 
 
 def _emit_observability(args, recorder: Optional[Recorder],

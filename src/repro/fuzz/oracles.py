@@ -34,6 +34,7 @@ from ..ir.instructions import FenceKind
 from ..ir.module import Module
 from ..ir.passes.fences import insert_fence_after
 from ..memory.models import StoreBufferModel, make_model
+from ..obs.recorder import NULL_RECORDER
 from ..sched.explorer import ExplorationResult, explore
 from ..sched.flush_random import FlushDelayScheduler
 from ..spec.specifications import Specification
@@ -204,39 +205,54 @@ class OracleReport:
 
 
 def check_program(program: FuzzProgram,
-                  config: Optional[OracleConfig] = None) -> OracleReport:
+                  config: Optional[OracleConfig] = None,
+                  recorder=NULL_RECORDER) -> OracleReport:
     """Run all four oracles on a generated program."""
-    return check_module(program.compile(), config)
+    return check_module(program.compile(), config, recorder=recorder,
+                        seed=program.seed)
 
 
 def check_module(module: Module,
-                 config: Optional[OracleConfig] = None) -> OracleReport:
-    """Run all four oracles on a compiled module (entry ``main``)."""
+                 config: Optional[OracleConfig] = None,
+                 recorder=NULL_RECORDER,
+                 seed: Optional[int] = None) -> OracleReport:
+    """Run all four oracles on a compiled module (entry ``main``).
+
+    *recorder* gets every exploration's counters (``explore/*``) and one
+    span per oracle, named after it, whose args carry the program's
+    generator *seed* when there is one.
+    """
     cfg = config or OracleConfig()
     report = OracleReport()
-    checker = _Checker(cfg, report)
+    checker = _Checker(cfg, report, recorder)
+    span_args = {} if seed is None else {"seed": seed}
 
-    explored = {}
-    for model in ("sc",) + cfg.models:
-        explored[model] = checker.explore(module, model, "inclusion")
-    if explored["sc"] is None:
-        return report  # nothing is conclusive without the SC reference
-    sc_outcomes = frozenset(explored["sc"].outcomes)
-    report.outcomes["sc"] = sc_outcomes
-
-    checker.check_inclusion(explored)
-    checker.check_fenced_sc(module, sc_outcomes)
-    checker.check_random_subset(module, explored)
-    checker.check_synthesis(module, sc_outcomes, explored)
+    with recorder.span("inclusion", **span_args):
+        explored = {}
+        for model in ("sc",) + cfg.models:
+            explored[model] = checker.explore(module, model, "inclusion")
+        if explored["sc"] is None:
+            return report  # nothing is conclusive without the SC reference
+        sc_outcomes = frozenset(explored["sc"].outcomes)
+        report.outcomes["sc"] = sc_outcomes
+        checker.check_inclusion(explored)
+    with recorder.span("fenced_sc", **span_args):
+        checker.check_fenced_sc(module, sc_outcomes)
+    with recorder.span("random_subset", **span_args):
+        checker.check_random_subset(module, explored)
+    with recorder.span("synthesis", **span_args):
+        checker.check_synthesis(module, sc_outcomes, explored)
     return report
 
 
 class _Checker:
     """Implementation of the four oracles against one report."""
 
-    def __init__(self, config: OracleConfig, report: OracleReport) -> None:
+    def __init__(self, config: OracleConfig, report: OracleReport,
+                 recorder=NULL_RECORDER) -> None:
         self.cfg = config
         self.report = report
+        self.recorder = recorder
 
     def explore(self, module: Module, model: str,
                 oracle: str) -> Optional[ExplorationResult]:
@@ -258,7 +274,7 @@ class _Checker:
             module, model, outcome_fn=thread_results,
             max_paths=budget, max_steps=cfg.max_steps,
             model_factory=functools.partial(cfg.model_factory, model),
-            reduction=cfg.reduction)
+            reduction=cfg.reduction, recorder=self.recorder)
         self.report.paths += result.paths
         if result.stats is not None:
             self.report.pruned += result.stats.pruned

@@ -13,6 +13,7 @@ import os
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..obs.recorder import NULL_RECORDER
 from .generator import FuzzProgram, GeneratorConfig, ProgramGenerator
 from .oracles import OracleConfig, OracleFailure, check_program
 from .shrink import shrink
@@ -100,12 +101,16 @@ def run_campaign(seed: int = 0, iters: int = 50,
                  generator_config: Optional[GeneratorConfig] = None,
                  corpus_dir: Optional[str] = None,
                  shrink_failures: bool = True,
-                 progress: Optional[ProgressFn] = None) -> FuzzReport:
+                 progress: Optional[ProgressFn] = None,
+                 recorder=NULL_RECORDER) -> FuzzReport:
     """Fuzz ``iters`` programs starting at *seed*; return the report.
 
     On failure the program is shrunk against its first failing oracle
     and, when *corpus_dir* is given, written there as a ``.c`` reproducer
     (the corpus test replays every file through the oracles).
+    *recorder* observes each program's oracle suite (see
+    :func:`~repro.fuzz.oracles.check_module`); the shrinker's re-checks
+    are not recorded.
     """
     oracle_cfg = oracle_config or OracleConfig()
     generator = ProgramGenerator(generator_config)
@@ -113,7 +118,8 @@ def run_campaign(seed: int = 0, iters: int = 50,
     start = time.perf_counter()
 
     for iteration, program in enumerate(generator.programs(seed, iters)):
-        oracle_report = check_program(program, oracle_cfg)
+        oracle_report = check_program(program, oracle_cfg,
+                                      recorder=recorder)
         report.paths += oracle_report.paths
         report.pruned += oracle_report.pruned
         report.cache_hits += oracle_report.cache_hits

@@ -39,7 +39,6 @@ class StoreBufferModel:
         #: Deepest any single thread's buffer got this execution (the
         #: store-buffer pressure metric; 0 under SC).
         self.depth_hwm = 0
-        self._depths: Dict[int, int] = {}
         #: Cached :meth:`fingerprint` (None when stale).  Every buffer
         #: mutation goes through ``_note_push``/``_note_pop``/``reset``,
         #: which clear it, so subclasses stay consistent for free.
@@ -123,7 +122,6 @@ class StoreBufferModel:
     def reset(self) -> None:
         """Discard all buffers (start of a new execution)."""
         self._buffers = {}
-        self._depths.clear()
         self.depth_hwm = 0
         self._fp = self.flush_options = None
 
@@ -131,22 +129,23 @@ class StoreBufferModel:
     #
     # ``snapshot()`` captures the model's complete mutable state;
     # ``restore()`` reinstates it.  One snapshot may be restored many
-    # times (fork-and-backtrack DFS), so restore copies the containers
+    # times (fork-and-backtrack DFS), so restore copies the container
     # it adopts.  The buffers themselves are immutable, so both copy one
-    # dict level.  ``fingerprint()`` is a canonical hashable encoding of
-    # the buffers for state dedup; the snapshot carries its cached value
-    # and the cached flush options (the last two elements) along.
+    # dict, and a thread's buffer depth is read off its buffer, so there
+    # is no other container to copy.  ``fingerprint()`` is a canonical
+    # hashable encoding of the buffers for state dedup; the snapshot
+    # carries its cached value and the cached flush options (the last
+    # two elements) along.
 
     def snapshot(self):
-        return (self.depth_hwm, dict(self._depths), dict(self._buffers),
-                self._fp, self.flush_options)
+        return (self.depth_hwm, dict(self._buffers), self._fp,
+                self.flush_options)
 
     def restore(self, state) -> None:
         self.depth_hwm = state[0]
-        self._depths = dict(state[1])
-        self._buffers = dict(state[2])
-        self._fp = state[3]
-        self.flush_options = state[4]
+        self._buffers = dict(state[1])
+        self._fp = state[2]
+        self.flush_options = state[3]
 
     def fingerprint(self):
         """Canonical hashable encoding of all buffered stores, cached
@@ -163,17 +162,17 @@ class StoreBufferModel:
 
     def _note_push(self, tid: int) -> None:
         """A store entered the thread's buffer: bump the depth HWM and
-        drop the caches.  This lives here (not in the concrete
-        write/flush methods) so subclasses overriding those — the
-        broken-model oracle tests do — keep it consistent for free."""
-        depth = self._depths.get(tid, 0) + 1
-        self._depths[tid] = depth
+        drop the caches.  Called after the buffer grew, so the depth is
+        read off the buffer itself.  This lives here (not in the
+        concrete write/flush methods) so subclasses overriding those —
+        the broken-model oracle tests do — keep it consistent for free."""
         self._fp = self.flush_options = None
+        depth = self.pending_count(tid)
         if depth > self.depth_hwm:
             self.depth_hwm = depth
 
     def _note_pop(self, tid: int) -> None:
-        self._depths[tid] -= 1
+        """A store left the thread's buffer: drop the caches."""
         self._fp = self.flush_options = None
 
     def _do_commit(self, tid: int, addr: int, value: int, label: int) -> None:
@@ -372,7 +371,7 @@ class PSOModel(StoreBufferModel):
         bufs = self._buffers.get(tid)
         if not bufs:
             return 0
-        return sum(len(entries) for entries in bufs.values())
+        return sum(map(len, bufs.values()))
 
     def head_addr(self, tid):
         bufs = self._buffers.get(tid)

@@ -44,15 +44,24 @@ tree, for differential validation), ``"sleep"``, or ``"sleep+cache"``
 and toy programs, not on the Table-2 benchmarks.  The search honours a
 path budget and reports whether it completed.
 
-Caveats (documented, not enforced): the state cache keys on threads,
-memory, buffers, and spawn counter — not on the step count — so if
-``max_steps`` is small enough to truncate *finite* paths, a cached run
-may explore outcomes past a step horizon the replay baseline stops at.
-All catalog litmus tests and generated fuzz programs have bounded loops,
-where budget ``max_steps`` is never the binding constraint.
-``ExploreStats.step_limited`` counts the leaves the step limit cut (they
-are also counted in ``paths``); a result with any such leaf, or with a
-cache-closed cycle, is not ``exact``.
+The state key leaves out the step count, so two paths of different
+length that reach one state share a cache entry, even when
+``max_steps`` lies between their two step counts.  That cannot make an
+``exact`` result wrong.  ``ExploreStats.step_limited`` counts the
+leaves the step limit cut (they are also counted in ``paths``), and
+``exact`` requires it to be 0:
+
+* If ``step_limited == 0``, the step limit cut no path of the search,
+  so the subtree below every cached state was explored completely.  A
+  hit on that state from a longer path stands for that same subtree: a
+  state's continuations do not depend on how it was reached, and their
+  first exploration ran to the end.  The outcome set is then the
+  program's, even where the longer path alone would have run into the
+  step limit.
+* If a subtree was cut, ``step_limited > 0`` and the result is already
+  not ``exact``.
+
+A result with a cache-closed cycle is not ``exact`` either.
 """
 
 from __future__ import annotations
@@ -323,34 +332,44 @@ def _flush_options(model: StoreBufferModel) -> Tuple[Option, ...]:
 # ----------------------------------------------------------------------
 # State canonicalisation (dedup cache)
 
-def _state_key(vm: VM) -> Tuple:
-    """Canonical hashable encoding of the full execution state.
+def _state_key(vm: VM, thread_ids: Dict[Tuple, int]) -> Tuple:
+    """Canonical hashable encoding of the full execution state:
+    ``(id_0, ..., id_n, next_tid, memory fingerprint, buffer
+    fingerprint)``.
 
     Deliberately excludes the step/seq counters so interleavings that
-    converge on the same state dedupe (see module caveat on
-    ``max_steps``), and the history (outcome extraction for explored
-    programs depends on globals and thread results only).
+    converge on the same state dedupe (see the module docstring on why
+    that keeps ``exact`` results exact), and the history (outcome
+    extraction for explored programs depends on globals and thread
+    results only).
 
-    Each component is cached next to the state it describes — a
-    thread's tuple in ``Thread.key``, memory and buffer fingerprints in
-    their owners — and rebuilt only after that state changed, so a DFS
-    edge re-keys one thread, or one buffer plus memory.  ``vm.threads``
-    is in insertion order, which is tid order: threads are spawned with
-    ascending tids, and neither cloning nor restore reorders the table.
+    ``id_i`` is thread *i*'s interned id: *thread_ids*, one dict per
+    search, maps each full thread tuple ``(tid, status, join_target,
+    result, frames)`` to a small int, so the cache hashes a short tuple
+    of ints and a full thread tuple is hashed once, when it is built.
+    Each component is cached next to the state it describes — the id in
+    ``Thread.key``, memory and buffer fingerprints in their owners — and
+    rebuilt only after that state changed, so a DFS edge re-keys one
+    thread, or one buffer plus memory.  ``vm.threads`` is in insertion
+    order, which is tid order: threads are spawned with ascending tids,
+    and neither cloning nor restore reorders the table.
     """
-    keys = []
+    key = []
     for thread in vm.threads.values():
-        key = thread.key
-        if key is None:
-            key = thread.key = (
-                thread.tid, thread.status.value, thread.join_target,
-                thread.result,
-                tuple((frame.fn.name, frame.ip,
-                       tuple(sorted(frame.regs.items())))
-                      for frame in thread.frames))
-        keys.append(key)
-    return (tuple(keys), vm._next_tid, vm.memory.fingerprint(),
-            vm.model.fingerprint())
+        ident = thread.key
+        if ident is None:
+            full = (thread.tid, thread.status.value, thread.join_target,
+                    thread.result,
+                    tuple([(frame.fn.name, frame.ip,
+                            tuple(sorted(frame.regs.items())))
+                           for frame in thread.frames]))
+            ident = thread_ids.get(full)
+            if ident is None:
+                ident = thread_ids[full] = len(thread_ids)
+            thread.key = ident
+        key.append(ident)
+    key += (vm._next_tid, vm.memory.fingerprint(), vm.model.fingerprint())
+    return tuple(key)
 
 
 # ----------------------------------------------------------------------
@@ -396,6 +415,10 @@ class _Search:
         self.stack: List[_Node] = []
         #: State keys of the nodes on ``stack`` (cache mode only).
         self.on_stack: Set[Tuple] = set()
+        #: Full thread tuple -> interned id (see :func:`_state_key`).
+        #: The ids mean something only inside this search, whose VM and
+        #: threads are its own.
+        self.thread_ids: Dict[Tuple, int] = {}
 
     def run(self) -> bool:
         """Explore the tree rooted at the VM's current state.
@@ -496,8 +519,8 @@ class _Search:
         cache = self.cache
         key = None
         if cache is not None:
-            key = _state_key(vm)
-            slept = frozenset(sleep)
+            key = _state_key(vm, self.thread_ids)
+            slept = frozenset(sleep) if sleep else _EMPTY
             stored = cache.get(key)
             if stored is None:
                 cache[key] = [slept]
@@ -530,14 +553,17 @@ class _Search:
 
 
 def _snapshot_size(snap: VMSnapshot) -> int:
-    """Pickled size of the execution state a snapshot copies.
+    """Pickled size of the execution state a snapshot holds.
 
     Functions are named, not pickled (they are shared, not copied), and
-    the explorer's caches — the per-frame code cache, ``Thread.key``
-    and ``Thread.step_option``, the memory fingerprint (last element of
-    its snapshot), and the buffer fingerprint and flush options (last
-    two elements of the model's) — are left out, so the size does not
-    depend on the VM backend.
+    the explorer's caches — the per-frame code cache, the interned
+    state-key id in ``Thread.key`` and ``Thread.step_option``, the memory
+    fingerprint (last element of its snapshot), and the buffer
+    fingerprint and flush options (last two elements of the model's,
+    after the depth high-water mark and the buffers) — are left out, so
+    the size does not depend on the VM backend.  The history counts
+    even when the snapshot shares it with the VM (a VM that records no
+    operations), so the size measures the state, not what was copied.
     """
     threads = [(t.tid, t.status.value, t.join_target, t.result,
                 [(f.fn.name, f.ip, f.regs, f.ret_dst, f.op_index)

@@ -58,7 +58,8 @@ class VMSnapshot:
     copies the small mutable rest (store buffers, the history list and
     its in-flight records, counters, the runnable set and blocked-join
     map), and shares everything immutable (module, functions, compiled
-    code, completed history records).
+    code, completed history records).  A VM that records no operations
+    never writes its history, so its snapshots share the history too.
     """
 
     __slots__ = ("threads", "next_tid", "steps", "seq", "flushes",
@@ -186,10 +187,13 @@ class VM:
         Nothing is deep-copied.  The snapshot keeps a shallow copy of the
         thread table and bumps the generation, so every live thread is
         now shared and the VM clones a thread before it next mutates it;
-        shared memory hands out its containers the same way.
+        shared memory hands out its containers the same way.  With no
+        ``operations`` to record, the history is never written (it stays
+        empty), so the snapshot shares it instead of copying it.
         """
         snap = VMSnapshot.__new__(VMSnapshot)
-        snap.history = self.history.copy()
+        snap.history = (self.history.copy() if self.operations
+                        else self.history)
         snap.threads = dict(self.threads)
         self._generation += 1
         snap.next_tid = self._next_tid
@@ -209,9 +213,12 @@ class VM:
         shallow copy of the snapshot's thread table.  The adopted threads
         stay shared with the snapshot until a step clones them: their
         epochs are all below the generation, which :meth:`snapshot`
-        bumped after capturing them and which never decreases.
+        bumped after capturing them and which never decreases.  The
+        history is shared, not copied, when the VM records no
+        operations, as in :meth:`snapshot`.
         """
-        self.history = snap.history.copy()
+        self.history = (snap.history.copy() if self.operations
+                        else snap.history)
         self.threads = dict(snap.threads)
         self._runnable = set(snap.runnable)
         self._blocked_join = dict(snap.blocked_join)

@@ -65,11 +65,14 @@ class Thread:
 
     ``key`` and ``step_option`` cache the thread's component of the
     explorer's canonical state key and its "step this thread" branch
-    option (``None`` until computed).  Both depend only on this thread's
-    own state, so filling them in on a shared thread is safe.  The VM
-    never reads or clears them; the explorer clears them on the thread
-    the VM owns after running it, and clones carry them along with the
-    state they describe.
+    option (``None`` until computed).  The key component is a small int:
+    the id the current search interned the thread's full state tuple as
+    (``repro.sched.explorer._state_key``), meaningful only inside that
+    search, whose VM and threads are its own.  Both depend only on this
+    thread's own state, so filling them in on a shared thread is safe.
+    The VM never reads or clears them; the explorer clears them on the
+    thread the VM owns after running it, and clones carry them along
+    with the state they describe.
     """
 
     __slots__ = ("tid", "frames", "status", "join_target", "result",
@@ -81,7 +84,7 @@ class Thread:
         self.status = ThreadStatus.RUNNABLE
         self.join_target: Optional[int] = None
         self.result: Optional[int] = None
-        self.key: Optional[tuple] = None
+        self.key: Optional[int] = None
         self.step_option: Optional[tuple] = None
         self.epoch = epoch
 

@@ -1,5 +1,6 @@
 """Exploration counters: a pinned search, cut leaves and closed cycles
-counted, and snapshot sizes that do not depend on the VM backend.
+counted, exact results under a step limit that only a cached path
+escapes, and snapshot sizes that do not depend on the VM backend.
 
 The ``sleep+cache`` counters are pinned to the search with eager
 buffered stores (a TSO/PSO store runs in its thread's local burst and
@@ -14,7 +15,7 @@ import json
 
 import pytest
 
-from perfbench.litmus_inputs import SB3_SOURCE
+from perfbench.litmus_inputs import SB3_SOURCE, SB4_SOURCE
 from repro.cli import main as cli_main
 from repro.fuzz.oracles import OracleConfig, check_module
 from repro.litmus import LITMUS_TESTS, thread_results
@@ -34,6 +35,10 @@ PINNED = {
     ("2+2w", "pso"): (4, 20, 94, 90),
     ("sb3", "tso"): (12, 737, 1139, 631),
     ("sb3", "pso"): (12, 737, 1139, 631),
+    # sb4 under tso/pso carries most of an explore-litmus perfbench pass.
+    ("sb4", "sc"): (15, 628, 2012, 1366),
+    ("sb4", "tso"): (24, 13311, 16821, 5143),
+    ("sb4", "pso"): (24, 13311, 16821, 5143),
 }
 
 #: A spin loop that never ends.  The counter makes every iteration a new
@@ -63,9 +68,41 @@ int main() {
 """
 
 
+#: Two interleavings reach one state at different step counts.  Main
+#: calls ``drain``, which reads X and counts it down; t1 sets X.  If
+#: main reads X before t1's store, ``drain`` loops 0 times, otherwise
+#: once (5 more steps).  Once ``drain`` has returned 0 and t1 has
+#: finished, both paths are in the same state, so the cache merges
+#: them.  Every path then runs main's tail loop to the end: 47 or 48
+#: steps in all when ``drain`` read 0, 52 or 53 when it read 1.
+TRUNCATION_SOURCE = """
+int X; int Y;
+int t1() { X = 1; int s = Y; return s; }
+int drain() {
+  int r = X;
+  while (r > 0) { r = r - 1; }
+  return r;
+}
+int main() {
+  int t = fork(t1);
+  int r = drain();
+  Y = 1;
+  join(t);
+  int i = 0;
+  while (i < 5) { i = i + 1; }
+  return r + i;
+}
+"""
+
+#: Between the two step counts above: cuts only the longer paths.
+TRUNCATION_MAX_STEPS = 50
+
+_SOURCES = {"sb3": SB3_SOURCE, "sb4": SB4_SOURCE}
+
+
 def _module(name):
-    if name == "sb3":
-        return compile_source(SB3_SOURCE, "sb3")
+    if name in _SOURCES:
+        return compile_source(_SOURCES[name], name)
     return LITMUS_TESTS[name].compile()
 
 
@@ -96,6 +133,33 @@ def test_step_limited_exploration_is_not_exact():
     assert not result.exact
     assert explore(LITMUS_TESTS["sb"].compile(), "tso",
                    outcome_fn=thread_results).exact
+
+
+@pytest.mark.parametrize("model", ["sc", "tso", "pso"])
+def test_cache_hit_past_the_step_limit_stays_exact(model):
+    """The state key leaves out the step count.  The cache may then
+    stand in for a path that would have run into the step limit, and
+    the result must still be exact: the state it hit was explored to
+    its end by the shorter path."""
+    module = compile_source(TRUNCATION_SOURCE, "truncation")
+    leaf_steps = explore(module, model, outcome_fn=lambda vm: vm.steps,
+                         reduction="none").outcomes
+    assert min(leaf_steps) <= TRUNCATION_MAX_STEPS < max(leaf_steps)
+    full = explore(module, model, outcome_fn=thread_results)
+    assert full.exact
+    assert full.outcomes == {(5, 0), (5, 1)}
+
+    cached = explore(module, model, outcome_fn=thread_results,
+                     max_steps=TRUNCATION_MAX_STEPS)
+    assert cached.stats.cache_hits > 0
+    assert cached.stats.step_limited == 0
+    assert cached.exact
+    assert cached.outcomes == full.outcomes
+
+    plain = explore(module, model, outcome_fn=thread_results,
+                    max_steps=TRUNCATION_MAX_STEPS, reduction="none")
+    assert plain.stats.step_limited > 0
+    assert not plain.exact
 
 
 def test_cli_explore_reports_step_limit(tmp_path, capsys):

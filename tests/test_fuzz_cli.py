@@ -1,5 +1,7 @@
 """The ``repro fuzz`` subcommand and the --explore budget surfacing."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -26,6 +28,37 @@ def test_fuzz_subcommand_verbose_progress(capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "seed 3:" in captured.err
+
+
+ORACLES = ("inclusion", "fenced_sc", "random_subset", "synthesis")
+
+
+def test_fuzz_subcommand_metrics_and_trace(tmp_path, capsys):
+    trace = tmp_path / "fuzz-trace.json"
+    rc = main(["fuzz", "--seed", "3", "--iters", "2", "-v", "--metrics",
+               "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "all oracles passed" in captured.out
+    assert "explore/runs: " in captured.out
+    assert "explore/paths: " in captured.out
+    assert "span/inclusion" in captured.out
+    # -v keeps its per-seed lines and adds no round progress.
+    assert "seed 3:" in captured.err and "seed 4:" in captured.err
+    assert "[round" not in captured.err
+    events = json.loads(trace.read_text())["traceEvents"]
+    spans = [(e["name"], e["args"]["seed"]) for e in events
+             if e["name"] in ORACLES]
+    assert sorted(spans) == sorted((oracle, seed) for oracle in ORACLES
+                                   for seed in (3, 4))
+
+
+def test_fuzz_subcommand_profile(capsys):
+    rc = main(["fuzz", "--seed", "3", "--iters", "1", "--profile"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "all oracles passed" in out
+    assert "profile (top 20 by cumulative time):" in out
 
 
 def test_explore_reports_exact_paths(capsys):
