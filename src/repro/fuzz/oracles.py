@@ -39,7 +39,7 @@ from ..sched.explorer import ExplorationResult, explore
 from ..sched.flush_random import FlushDelayScheduler
 from ..spec.specifications import Specification
 from ..synth import SynthesisConfig, SynthesisEngine, SynthesisOutcome
-from ..vm.driver import ExecutionResult, run_execution
+from ..vm.driver import ExecutionResult, run_execution, thread_results
 from .generator import FuzzProgram
 
 Outcome = Tuple
@@ -54,11 +54,6 @@ ModelFactory = Callable[[str], StoreBufferModel]
 #: same schedules; a stride beyond both ranges makes every attempt an
 #: independent draw.
 SYNTH_SEED_STRIDE = 1 << 25
-
-
-def thread_results(vm) -> Outcome:
-    """The canonical program outcome: thread return values in tid order."""
-    return tuple(vm.threads[tid].result for tid in sorted(vm.threads))
 
 
 def fully_fenced(module: Module) -> Module:

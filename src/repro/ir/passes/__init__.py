@@ -1,23 +1,11 @@
 """IR transformation and analysis passes."""
 
 from .fences import insert_fence_after, merge_redundant_fences, strip_fences
-from .optimize import (
-    fold_constants,
-    optimize_function,
-    optimize_module,
-    remove_dead_registers,
-    remove_unreachable,
-)
 from .stats import module_stats
 
 __all__ = [
-    "fold_constants",
     "insert_fence_after",
     "merge_redundant_fences",
     "module_stats",
-    "optimize_function",
-    "optimize_module",
-    "remove_dead_registers",
-    "remove_unreachable",
     "strip_fences",
 ]

@@ -32,11 +32,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Tuple
 
 from .minic.lower import compile_source
-
-
-def thread_results(vm) -> Tuple[int, ...]:
-    """The canonical litmus outcome: thread return values in tid order."""
-    return tuple(vm.threads[tid].result for tid in sorted(vm.threads))
+from .vm.driver import thread_results
 
 
 class LitmusTest:

@@ -27,6 +27,8 @@ from ..ir.instructions import FenceKind
 from ..ir.module import GlobalVar, Module
 from ..ir.operands import Const, Reg, Sym
 from ..ir.verifier import verify_module
+from ..vm.compile import BINOP_FN, UNOP_FN
+from ..vm.errors import InterpreterError
 from . import ast
 from .parser import parse
 from .types import (
@@ -59,6 +61,8 @@ _BINOP_MAP = {
     "&": "and", "|": "or", "^": "xor", "<<": "shl", ">>": "shr",
     "==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
 }
+
+_UNOP_MAP = {"-": "neg", "!": "not", "~": "bnot"}
 
 
 class ModuleEnv:
@@ -97,19 +101,20 @@ def _const_eval(expr: ast.Expr, env: ModuleEnv) -> int:
             return env.consts[expr.name]
         raise CompileError("%r is not a constant" % expr.name, expr.line)
     if isinstance(expr, ast.Unary):
-        value = _const_eval(expr.operand, env)
-        if expr.op == "-":
-            return -value
-        if expr.op == "!":
-            return int(value == 0)
-        if expr.op == "~":
-            return ~value
+        return UNOP_FN[_UNOP_MAP[expr.op]](_const_eval(expr.operand, env))
     if isinstance(expr, ast.Binary):
         left = _const_eval(expr.left, env)
         right = _const_eval(expr.right, env)
+        if expr.op == "&&":
+            return int(bool(left) and bool(right))
+        if expr.op == "||":
+            return int(bool(left) or bool(right))
+        if expr.op not in _BINOP_MAP:
+            raise CompileError("operator %r not allowed in constants"
+                               % expr.op)
         try:
-            return _fold_binary(expr.op, left, right)
-        except ZeroDivisionError:
+            return BINOP_FN[_BINOP_MAP[expr.op]](left, right)
+        except InterpreterError:
             raise CompileError("division by zero in constant", expr.line) \
                 from None
     if isinstance(expr, ast.SizeOf):
@@ -117,59 +122,11 @@ def _const_eval(expr: ast.Expr, env: ModuleEnv) -> int:
     raise CompileError("expression is not constant", expr.line)
 
 
-def _fold_binary(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        q = abs(a) // abs(b)
-        return q if (a >= 0) == (b >= 0) else -q
-    if op == "%":
-        r = abs(a) % abs(b)
-        return r if a >= 0 else -r
-    if op == "&":
-        return a & b
-    if op == "|":
-        return a | b
-    if op == "^":
-        return a ^ b
-    if op == "<<":
-        return a << b
-    if op == ">>":
-        return a >> b
-    if op == "==":
-        return int(a == b)
-    if op == "!=":
-        return int(a != b)
-    if op == "<":
-        return int(a < b)
-    if op == "<=":
-        return int(a <= b)
-    if op == ">":
-        return int(a > b)
-    if op == ">=":
-        return int(a >= b)
-    if op == "&&":
-        return int(bool(a) and bool(b))
-    if op == "||":
-        return int(bool(a) or bool(b))
-    raise CompileError("operator %r not allowed in constants" % op)
-
-
 # ----------------------------------------------------------------------
 # Module-level compilation
 
-def compile_source(source: str, name: str = "module",
-                   optimize: bool = False) -> Module:
-    """Compile MiniC source text to a verified DIR module.
-
-    With ``optimize`` True the clean-up pipeline (constant folding,
-    unreachable-code and dead-register elimination) runs after lowering;
-    shared-memory operations are never optimised away.
-    """
+def compile_source(source: str, name: str = "module") -> Module:
+    """Compile MiniC source text to a verified DIR module."""
     program = parse(source)
     module = Module(name)
     module.source = source
@@ -222,9 +179,6 @@ def compile_source(source: str, name: str = "module",
         _FunctionLowerer(module, env, decl).lower()
 
     verify_module(module)
-    if optimize:
-        from ..ir.passes.optimize import optimize_module
-        optimize_module(module)
     return module
 
 
@@ -568,8 +522,7 @@ class _FunctionLowerer:
             value, vtype = self._rvalue(expr.operand)
             self._require_arith(vtype, expr.line)
             dst = b.tmp()
-            op = {"-": "neg", "!": "not", "~": "bnot"}[expr.op]
-            b.unop(dst, op, value)
+            b.unop(dst, _UNOP_MAP[expr.op], value)
             return (dst, INT)
         if isinstance(expr, ast.Binary):
             return self._binary(expr)

@@ -1,10 +1,9 @@
 """From-scratch SAT solving — the reproduction's stand-in for MiniSAT."""
 
-from .dimacs import format_dimacs, parse_dimacs
 from .models import enumerate_minimal_models, minimum_model, shrink_model
 from .solver import SATSolver, solve_clauses
 
 __all__ = [
-    "SATSolver", "enumerate_minimal_models", "format_dimacs",
-    "minimum_model", "parse_dimacs", "shrink_model", "solve_clauses",
+    "SATSolver", "enumerate_minimal_models", "minimum_model",
+    "shrink_model", "solve_clauses",
 ]

@@ -375,28 +375,41 @@ def _state_key(vm: VM, thread_ids: Dict[Tuple, int]) -> Tuple:
 # ----------------------------------------------------------------------
 # The DFS core
 
+class _CacheEntry:
+    """The cache's record of one state: the sleep sets it was explored
+    with, and whether a node of that state is still on the DFS stack."""
+
+    __slots__ = ("sleeps", "open")
+
+    def __init__(self, slept: FrozenSet[Tuple]) -> None:
+        self.sleeps = [slept]
+        self.open = False
+
+
 class _Node:
     """One open interior node of the DFS tree."""
 
-    __slots__ = ("snap", "branch", "index", "sleep", "needs_restore", "key")
+    __slots__ = ("snap", "branch", "index", "sleep", "needs_restore",
+                 "entry")
 
     def __init__(self, snap: Optional[VMSnapshot], branch: List[Option],
-                 sleep: Dict[Tuple, Footprint], key: Optional[Tuple]) -> None:
+                 sleep: Dict[Tuple, Footprint],
+                 entry: Optional[_CacheEntry]) -> None:
         self.snap = snap
         self.branch = branch
         self.index = 0
         self.sleep = sleep          # mutated: explored siblings added
         self.needs_restore = False  # first child runs on the live state
-        #: The state key this node put on the search's on-stack set
-        #: (None without a cache, or when an ancestor holds the key).
-        self.key = key
+        #: The cache entry this node opened (None without a cache, or
+        #: when an ancestor holds it); closed when the node is popped.
+        self.entry = entry
 
 
 class _Search:
     """Iterative fork-and-backtrack DFS over one VM's choice tree."""
 
     def __init__(self, vm: VM, outcome_fn: OutcomeFn, max_paths: int,
-                 use_sleep: bool, cache: Optional[dict],
+                 use_sleep: bool, cache: Optional[Dict[Tuple, _CacheEntry]],
                  stats: ExploreStats, outcomes: Set[Tuple],
                  violations: Set[str]) -> None:
         self.vm = vm
@@ -413,8 +426,6 @@ class _Search:
         self.outcomes = outcomes
         self.violations = violations
         self.stack: List[_Node] = []
-        #: State keys of the nodes on ``stack`` (cache mode only).
-        self.on_stack: Set[Tuple] = set()
         #: Full thread tuple -> interned id (see :func:`_state_key`).
         #: The ids mean something only inside this search, whose VM and
         #: threads are its own.
@@ -436,8 +447,8 @@ class _Search:
             node = stack[-1]
             if node.index >= len(node.branch):
                 stack.pop()
-                if node.key is not None:
-                    self.on_stack.discard(node.key)
+                if node.entry is not None:
+                    node.entry.open = False
                 continue
             choice, ident, fp = node.branch[node.index]
             node.index += 1
@@ -517,39 +528,39 @@ class _Search:
         else:
             branch = options
         cache = self.cache
-        key = None
+        entry = None
         if cache is not None:
             key = _state_key(vm, self.thread_ids)
             slept = frozenset(sleep) if sleep else _EMPTY
-            stored = cache.get(key)
-            if stored is None:
-                cache[key] = [slept]
+            entry = cache.get(key)
+            if entry is None:
+                entry = cache[key] = _CacheEntry(slept)
                 stats.cache_states += 1
             else:
                 # This state covers the revisit only if it was explored
                 # with a sleep set no larger than ours (it explored at
                 # least every branch we would).
+                stored = entry.sleeps
                 for prev in stored:
                     if prev <= slept:
                         stats.cache_hits += 1
-                        if key in self.on_stack:
+                        if entry.open:
                             # Not explored yet: the hit closes a cycle.
                             stats.cycles += 1
                         return
                 stored[:] = [p for p in stored if not slept <= p]
                 stored.append(slept)
-            on_stack = self.on_stack
-            if key in on_stack:
-                key = None  # an ancestor holds it
+            if entry.open:
+                entry = None  # an ancestor holds it
             else:
-                on_stack.add(key)
+                entry.open = True
         snap = None
         if len(branch) > 1:
             snap = vm.snapshot()
             stats.snapshots += 1
             if stats.snapshot_bytes == 0:
                 stats.snapshot_bytes = _snapshot_size(snap)
-        self.stack.append(_Node(snap, branch, sleep, key))
+        self.stack.append(_Node(snap, branch, sleep, entry))
 
 
 def _snapshot_size(snap: VMSnapshot) -> int:

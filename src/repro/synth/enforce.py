@@ -136,10 +136,6 @@ def fence_still_present(module: Module, label: int) -> bool:
     return isinstance(instr, Fence)
 
 
-#: Backwards-compatible alias of :func:`fence_still_present`.
-_fence_still_present = fence_still_present
-
-
 def _next_source_line(module: Module, fn_name: str,
                       fence_label: int) -> Optional[int]:
     """Source line of the first following instruction with one (for the

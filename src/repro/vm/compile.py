@@ -170,8 +170,8 @@ def _value_thunk(operand):
 
 
 # ----------------------------------------------------------------------
-# Operator tables (C-like semantics on Python ints).  The optimizer's
-# constant folding evaluates with these tables too.
+# Operator tables (C-like semantics on Python ints).  MiniC ``const``
+# evaluation (``minic/lower.py``) evaluates with these tables too.
 
 def _div(a: int, b: int) -> int:
     if b == 0:

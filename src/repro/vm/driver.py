@@ -124,12 +124,15 @@ def run_execution(module: Module, model: StoreBufferModel,
         status, error = ExecutionStatus.DEADLOCK, str(exc)
 
     predicates = sink.predicates() if sink is not None else []
-    thread_results = tuple(vm.threads[tid].result
-                           for tid in sorted(vm.threads))
     return ExecutionResult(status, vm.history, predicates, vm.steps, error,
                            flushes=vm.flushes,
                            max_buffer_depth=model.depth_hwm,
-                           thread_results=thread_results)
+                           thread_results=thread_results(vm))
+
+
+def thread_results(vm: VM) -> tuple:
+    """The canonical program outcome: thread return values in tid order."""
+    return tuple(vm.threads[tid].result for tid in sorted(vm.threads))
 
 
 def run_once(module: Module, model_name: str = "sc", seed: int = 0,

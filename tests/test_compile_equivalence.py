@@ -30,7 +30,8 @@ from repro.ir.instructions import (
 from repro.ir.passes.fences import insert_fence_after
 from repro.litmus import LITMUS_TESTS, thread_results
 from repro.memory.models import make_model
-from repro.minic import compile_source
+from repro.minic import CompileError, compile_source
+from repro.minic.lower import _BINOP_MAP, _UNOP_MAP
 from repro.sched import explorer
 from repro.sched.explorer import explore
 from repro.sched.flush_random import FlushDelayScheduler
@@ -45,7 +46,7 @@ from repro.vm.compile import (
     code_for,
     compile_stats_delta,
 )
-from repro.vm.driver import run_execution
+from repro.vm.driver import run_execution, run_once
 from repro.vm.errors import InterpreterError
 
 from tests.reference.interp_vm import InterpVM, _apply_binop, _apply_unop
@@ -176,9 +177,28 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _const_outcome(expr):
+    """What ``main`` returns when it returns the MiniC constant *expr*
+    (``const`` declarations are evaluated at compile time)."""
+    source = "const C = %s; int main() { return C; }" % expr
+    try:
+        module = compile_source(source, "const")
+    except (CompileError, ValueError) as exc:  # negative shift counts
+        return type(exc)
+    return run_once(module).thread_results[0]
+
+
+def _const_expected(fn, *args):
+    """The reference outcome, with a zero divisor reported at compile
+    time."""
+    outcome = _outcome(fn, *args)
+    return CompileError if outcome is InterpreterError else outcome
+
+
 def test_operator_tables_match_reference():
-    """The compiler's (and the optimizer's) operator tables agree with
-    the reference interpreter's evaluation on every operator."""
+    """The compiler's operator tables agree with the reference
+    interpreter's evaluation on every operator, and so does MiniC
+    ``const`` evaluation, which evaluates with the same tables."""
     assert set(BINOP_FN) == BINARY_OPS
     assert set(UNOP_FN) == UNARY_OPS
     for op in sorted(BINARY_OPS):
@@ -193,6 +213,16 @@ def test_operator_tables_match_reference():
     for op in sorted(UNARY_OPS):
         for a in OPERANDS:
             assert _outcome(UNOP_FN[op], a) == _outcome(_apply_unop, op, a)
+    for c_op, op in sorted(_BINOP_MAP.items()):
+        for a in OPERANDS:
+            for b in OPERANDS:
+                expected = _const_expected(_apply_binop, op, a, b)
+                assert _const_outcome("(%d) %s (%d)" % (a, c_op, b)) \
+                    == expected, (c_op, a, b)
+    for c_op, op in sorted(_UNOP_MAP.items()):
+        for a in OPERANDS:
+            assert _const_outcome("%s(%d)" % (c_op, a)) \
+                == _const_expected(_apply_unop, op, a), (c_op, a)
 
 @pytest.mark.parametrize("name", FAST_LITMUS)
 @pytest.mark.parametrize("model", MODELS)

@@ -249,10 +249,6 @@ class TestFenceStillPresent:
             assert fence_still_present(module, placement.fence_label)
         assert not fence_still_present(module, 10**9)  # unknown label
 
-    def test_legacy_alias_preserved(self):
-        from repro.synth.enforce import _fence_still_present
-        assert _fence_still_present is fence_still_present
-
 
 # ----------------------------------------------------------------------
 # Progress reporter and report integration

@@ -1,12 +1,8 @@
-"""Unit tests for minimal-model utilities and DIMACS I/O."""
-
-import pytest
+"""Unit tests for minimal-model utilities."""
 
 from repro.sat import (
     enumerate_minimal_models,
-    format_dimacs,
     minimum_model,
-    parse_dimacs,
     shrink_model,
 )
 
@@ -59,36 +55,3 @@ class TestMinimumModel:
         # Not monotone, but the API handles it: x and not-x.
         assert minimum_model([[1], [-1]]) is None
 
-
-class TestDimacs:
-    def test_round_trip(self):
-        clauses = [[1, -2, 3], [-1], [2, 3]]
-        text = format_dimacs(3, clauses)
-        num_vars, parsed = parse_dimacs(text)
-        assert num_vars == 3
-        assert parsed == clauses
-
-    def test_parse_comments_and_blank_lines(self):
-        text = """
-c a comment
-p cnf 2 2
-
-1 -2 0
-c another
-2 0
-"""
-        num_vars, clauses = parse_dimacs(text)
-        assert num_vars == 2
-        assert clauses == [[1, -2], [2]]
-
-    def test_parse_multiline_clause(self):
-        num_vars, clauses = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")
-        assert clauses == [[1, 2, 3]]
-
-    def test_malformed_problem_line(self):
-        with pytest.raises(ValueError):
-            parse_dimacs("p cnf 2\n1 0\n")
-
-    def test_trailing_clause_without_zero(self):
-        _n, clauses = parse_dimacs("p cnf 2 1\n1 2")
-        assert clauses == [[1, 2]]
