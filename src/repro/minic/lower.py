@@ -109,9 +109,6 @@ def _const_eval(expr: ast.Expr, env: ModuleEnv) -> int:
             return int(bool(left) and bool(right))
         if expr.op == "||":
             return int(bool(left) or bool(right))
-        if expr.op not in _BINOP_MAP:
-            raise CompileError("operator %r not allowed in constants"
-                               % expr.op)
         try:
             return BINOP_FN[_BINOP_MAP[expr.op]](left, right)
         except InterpreterError:

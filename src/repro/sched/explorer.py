@@ -31,12 +31,18 @@ On top of the incremental walk it layers two sound reductions:
   keeps every terminal state and every violation.
 * **State caching**.  Distinct interleavings frequently converge on the
   same state (same thread frames, memory, and buffers).  A canonical hash
-  of the state dedupes re-exploration, with the standard sleep-set
-  proviso: a cached state only covers a revisit whose sleep set is a
-  superset of the one it was first explored with.  A hit on a state
-  still on the DFS stack closes a cycle (a loop whose state repeats):
-  the continuations past it are never explored, so such a hit is
-  counted in ``ExploreStats.cycles`` and the result is not ``exact``.
+  of the state dedupes re-exploration, with Godefroid, Holzmann and
+  Pirottin's stored sleep sets ("State-space caching revisited"): each
+  cached state keeps the intersection ``H`` of the sleep sets it was
+  visited with, and every option outside ``H`` has already been taken
+  from it.  A revisit with sleep set ``Q`` is a hit when ``H <= Q``;
+  otherwise it branches only on ``H - Q``, the options asleep at every
+  earlier visit and awake now, and ``H`` becomes ``H & Q``.  So no edge
+  out of a closed cached state runs twice.  A revisit of a state still
+  on the DFS stack branches on every awake option instead, and a hit
+  on such a state closes a cycle (a loop whose state repeats): the
+  continuations past it are never explored, so such a hit is counted in
+  ``ExploreStats.cycles`` and the result is not ``exact``.
 
 ``reduction`` selects the level: ``"none"`` (exact mirror of the replay
 tree, for differential validation), ``"sleep"``, or ``"sleep+cache"``
@@ -376,13 +382,20 @@ def _state_key(vm: VM, thread_ids: Dict[Tuple, int]) -> Tuple:
 # The DFS core
 
 class _CacheEntry:
-    """The cache's record of one state: the sleep sets it was explored
-    with, and whether a node of that state is still on the DFS stack."""
+    """The cache's record of one state: its stored sleep set, and
+    whether a node of that state is still on the DFS stack.
 
-    __slots__ = ("sleeps", "open")
+    ``sleep`` is the intersection of every sleep set the state has been
+    visited with (Godefroid's stored sleep set).  Once no node of the
+    state is open, every option outside it has been executed from the
+    state, so a revisit with sleep set ``Q`` need branch only on
+    ``sleep - Q``, and is a hit when that is empty.
+    """
+
+    __slots__ = ("sleep", "open")
 
     def __init__(self, slept: FrozenSet[Tuple]) -> None:
-        self.sleeps = [slept]
+        self.sleep = slept
         self.open = False
 
 
@@ -531,27 +544,30 @@ class _Search:
         entry = None
         if cache is not None:
             key = _state_key(vm, self.thread_ids)
-            slept = frozenset(sleep) if sleep else _EMPTY
             entry = cache.get(key)
             if entry is None:
-                entry = cache[key] = _CacheEntry(slept)
+                entry = cache[key] = _CacheEntry(
+                    frozenset(sleep) if sleep else _EMPTY)
                 stats.cache_states += 1
             else:
-                # This state covers the revisit only if it was explored
-                # with a sleep set no larger than ours (it explored at
-                # least every branch we would).
-                stored = entry.sleeps
-                for prev in stored:
-                    if prev <= slept:
-                        stats.cache_hits += 1
-                        if entry.open:
-                            # Not explored yet: the hit closes a cycle.
-                            stats.cycles += 1
-                        return
-                stored[:] = [p for p in stored if not slept <= p]
-                stored.append(slept)
+                # Every option outside the stored set H has been taken
+                # from this state (or will be, by the open node holding
+                # it): only options asleep at every earlier visit and
+                # awake now are new.
+                stored = entry.sleep
+                if stored <= sleep.keys():
+                    stats.cache_hits += 1
+                    if entry.open:
+                        # Not explored yet: the hit closes a cycle.
+                        stats.cycles += 1
+                    return
+                kept = stored.intersection(sleep)
+                entry.sleep = kept if kept else _EMPTY
+                if not entry.open:
+                    branch = [o for o in branch if o[1] in stored]
+                    sleep = {i: f for i, f in sleep.items() if i in stored}
             if entry.open:
-                entry = None  # an ancestor holds it
+                entry = None  # an ancestor holds it: branch on all
             else:
                 entry.open = True
         snap = None

@@ -550,6 +550,7 @@ def _compile_ret(instr: ins.Ret) -> Closure:
             thread.status = _FINISHED
             thread.result = value
             vm._runnable.discard(thread.tid)
+            vm._enabled = None
             return
         caller = frames[-1]
         ret_dst = frame.ret_dst
@@ -599,6 +600,7 @@ def _compile_join(instr: ins.Join, nxt: int) -> Closure:
             thread.join_target = target_tid
             vm._runnable.discard(tid)
             vm._blocked_join[tid] = target_tid
+            vm._enabled = None
     return op
 
 

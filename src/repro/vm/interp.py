@@ -58,12 +58,14 @@ class VMSnapshot:
     copies the small mutable rest (store buffers, the history list and
     its in-flight records, counters, the runnable set and blocked-join
     map), and shares everything immutable (module, functions, compiled
-    code, completed history records).  A VM that records no operations
-    never writes its history, so its snapshots share the history too.
+    code, completed history records, the sorted enabled list).  A VM
+    that records no operations never writes its history, so its
+    snapshots share the history too.
     """
 
     __slots__ = ("threads", "next_tid", "steps", "seq", "flushes",
-                 "history", "memory", "model", "runnable", "blocked_join")
+                 "history", "memory", "model", "runnable", "blocked_join",
+                 "enabled")
 
 
 class VM:
@@ -118,6 +120,10 @@ class VM:
         #: every thread's status per call.
         self._runnable: set = set()
         self._blocked_join: Dict[int, int] = {}
+        #: ``enabled_tids``'s last answer, or None once either set (or a
+        #: join target's status) may have changed: every site that
+        #: mutates them clears it.
+        self._enabled: Optional[List[int]] = None
         self._spawn(entry, [int(a) for a in entry_args])
 
     # ------------------------------------------------------------------
@@ -138,6 +144,7 @@ class VM:
         thread.frames.append(frame)
         self.threads[tid] = thread
         self._runnable.add(tid)
+        self._enabled = None
         return tid
 
     def enabled_tids(self) -> List[int]:
@@ -145,9 +152,14 @@ class VM:
 
         A thread blocked on join becomes enabled once its target finishes
         (the join step itself then drains the target's buffers).
+
+        The list is cached until the runnable set, the blocked-join map
+        or a thread's finishing changes it, and shared with snapshots:
+        callers must not mutate it.
         """
-        if not self._blocked_join:
-            return sorted(self._runnable)
+        enabled = self._enabled
+        if enabled is not None:
+            return enabled
         enabled = list(self._runnable)
         threads = self.threads
         for tid, target_tid in self._blocked_join.items():
@@ -155,6 +167,7 @@ class VM:
             if target is not None and target.finished:
                 enabled.append(tid)
         enabled.sort()
+        self._enabled = enabled
         return enabled
 
     def all_finished(self) -> bool:
@@ -204,6 +217,7 @@ class VM:
         snap.model = self.model.snapshot()
         snap.runnable = set(self._runnable)
         snap.blocked_join = dict(self._blocked_join)
+        snap.enabled = self._enabled
         return snap
 
     def restore(self, snap: VMSnapshot) -> None:
@@ -222,6 +236,7 @@ class VM:
         self.threads = dict(snap.threads)
         self._runnable = set(snap.runnable)
         self._blocked_join = dict(snap.blocked_join)
+        self._enabled = snap.enabled
         self._next_tid = snap.next_tid
         self.steps = snap.steps
         self.seq = snap.seq
@@ -311,4 +326,5 @@ class VM:
         thread.join_target = None
         self._blocked_join.pop(thread.tid, None)
         self._runnable.add(thread.tid)
+        self._enabled = None
         thread.top.ip += 1

@@ -210,6 +210,7 @@ class InterpVM(VM):
             thread.join_target = target_tid
             self._runnable.discard(thread.tid)
             self._blocked_join[thread.tid] = target_tid
+            self._enabled = None
 
     def _exec_selfid(self, thread, frame, instr) -> None:
         frame.regs[instr.dst.name] = thread.tid
@@ -263,6 +264,7 @@ class InterpVM(VM):
             thread.status = ThreadStatus.FINISHED
             thread.result = value
             self._runnable.discard(thread.tid)
+            self._enabled = None
             return
         caller = thread.top
         if frame.ret_dst is not None:

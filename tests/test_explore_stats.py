@@ -5,10 +5,17 @@ escapes, and snapshot sizes that do not depend on the VM backend.
 The ``sleep+cache`` counters are pinned to the search with eager
 buffered stores (a TSO/PSO store runs in its thread's local burst and
 is never a branch point; under SC the search is the one before that
-change).  The cached state keys and step options must leave every cache
-and sleep-set decision as the uncached explorer makes it, so any drift
-in these numbers is a change of search; the replay sweep of
-``test_explore_equivalence.py`` guards exactness.
+change) and with one stored sleep set per cached state (a revisit
+branches only on options asleep at every earlier visit and awake now,
+so no edge out of a closed cached state runs twice).  The stored-set
+rule lowered ``pruned`` and ``cache_hits`` only: ``paths`` and
+``cache_states`` are the numbers of the covered-sleep-list search
+before it, because the search visits the same states.  The cached
+state keys and step options must leave every cache and sleep-set
+decision as the uncached explorer makes it, so any drift in these
+numbers is a change of search; the replay sweep of
+``test_explore_equivalence.py`` guards exactness and
+``test_cache_revisits.py`` the visited states and edges.
 """
 
 import json
@@ -27,18 +34,18 @@ from repro.sched.explorer import explore
 #: default ``sleep+cache`` reduction.
 PINNED = {
     ("sb", "sc"): (3, 2, 9, 32),
-    ("sb", "tso"): (6, 26, 51, 73),
-    ("sb", "pso"): (6, 26, 51, 73),
+    ("sb", "tso"): (6, 25, 46, 73),
+    ("sb", "pso"): (6, 25, 46, 73),
     ("mp", "sc"): (2, 1, 6, 21),
-    ("mp", "tso"): (3, 2, 19, 31),
-    ("mp", "pso"): (6, 13, 38, 52),
-    ("2+2w", "pso"): (4, 20, 94, 90),
-    ("sb3", "tso"): (12, 737, 1139, 631),
-    ("sb3", "pso"): (12, 737, 1139, 631),
+    ("mp", "tso"): (3, 2, 18, 31),
+    ("mp", "pso"): (6, 12, 32, 52),
+    ("2+2w", "pso"): (4, 20, 88, 90),
+    ("sb3", "tso"): (12, 561, 820, 631),
+    ("sb3", "pso"): (12, 561, 820, 631),
     # sb4 under tso/pso carries most of an explore-litmus perfbench pass.
-    ("sb4", "sc"): (15, 628, 2012, 1366),
-    ("sb4", "tso"): (24, 13311, 16821, 5143),
-    ("sb4", "pso"): (24, 13311, 16821, 5143),
+    ("sb4", "sc"): (15, 485, 1684, 1366),
+    ("sb4", "tso"): (24, 9477, 10815, 5143),
+    ("sb4", "pso"): (24, 9477, 10815, 5143),
 }
 
 #: A spin loop that never ends.  The counter makes every iteration a new

@@ -167,6 +167,43 @@ def test_restore_rebuilds_scheduling_sets(model):
     assert vm.tids_with_pending() == pending_scan
 
 
+def _enabled_scan(vm):
+    return sorted(
+        tid for tid, t in vm.threads.items()
+        if t.status.value == "runnable"
+        or (t.status.value == "blocked_join"
+            and vm.threads[t.join_target].finished))
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("cls", [CompiledVM, InterpVM],
+                         ids=["compiled", "interpreted"])
+def test_cached_enabled_tids_follow_every_change(cls, model):
+    """``enabled_tids`` caches its sorted list until a spawn, a finish,
+    a blocking join or a join completion changes it.  Stepping the
+    lowest tid first makes main fork, block in join, and wake when t1
+    finishes; at every point, and after restoring each snapshot taken
+    on the way, the cached list equals a full scan."""
+    vm = cls(compile_source(SB_SOURCE, "sb"), make_model(model),
+             max_steps=500)
+    snaps = []
+    while True:
+        assert vm.enabled_tids() == _enabled_scan(vm)
+        snaps.append((vm.snapshot(), _enabled_scan(vm)))
+        enabled = vm.enabled_tids()
+        if enabled:
+            vm.step(enabled[0])
+        elif vm.tids_with_pending():
+            vm.flush_one(vm.tids_with_pending()[0])
+        else:
+            break
+    assert any(t.join_target is not None
+               for snap, _ in snaps for t in snap.threads.values())
+    for snap, expected in reversed(snaps):
+        vm.restore(snap)
+        assert vm.enabled_tids() == expected
+
+
 @pytest.mark.parametrize("cls", [CompiledVM, InterpVM],
                          ids=["compiled", "interpreted"])
 def test_history_cloned_with_inflight_operations(cls):
