@@ -115,9 +115,12 @@ class StoreBufferModel:
         raise NotImplementedError
 
     def drain(self, tid: int) -> None:
-        """Commit every buffered store of the thread, oldest first."""
-        while self.flush_one(tid):
-            pass
+        """Commit every buffered store of the thread, oldest first.
+
+        An emptied buffer is deleted, so the loop stops without a
+        ``flush_one`` call that finds nothing to flush."""
+        while tid in self._buffers:
+            self.flush_one(tid)
 
     def reset(self) -> None:
         """Discard all buffers (start of a new execution)."""

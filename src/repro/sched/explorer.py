@@ -19,16 +19,23 @@ On top of the incremental walk it layers two sound reductions:
   as only actions independent of ``c`` execute; a slept action is never
   branched on, because the interleaving it would start is a commuted copy
   of one already explored.  Independence comes from action *footprints*
-  (read/write address sets): thread-local steps, buffered stores (which
+  (read/write sets of addresses and of threads' done cells):
+  thread-local steps, plain calls and returns, buffered stores (which
   touch only the issuing thread's own buffer), and flushes/accesses of
-  disjoint addresses all commute.  Sleep sets alone still visit every
-  reachable state, so outcome and violation sets are preserved exactly.
+  disjoint addresses all commute.  A thread's final ``ret`` writes only
+  its own done cell (its status and result), which only a join on the
+  thread reads.  Sleep sets alone still visit every reachable state, so
+  outcome and violation sets are preserved exactly.
   At both sleep levels a buffered store (TSO/PSO) is also never a branch
   point: it runs in its thread's eager local burst, like a register op.
   It appends to the tail of its own thread's FIFO buffer, so it commutes
   with every other action, cannot be disabled and enables or disables
   nothing — ``{store}`` is a persistent set, and running it at once
-  keeps every terminal state and every violation.
+  keeps every terminal state and every violation.  Nor is a join on an
+  unfinished thread an option there: the step would only block the
+  joiner, so the joiner waits until the target finishes and then joins
+  it in one step, which reads the target's done cell and writes every
+  address the target's buffers hold (the join drains them).
 * **State caching**.  Distinct interleavings frequently converge on the
   same state (same thread frames, memory, and buffers).  A canonical hash
   of the state dedupes re-exploration, with Godefroid, Holzmann and
@@ -73,7 +80,8 @@ A result with a cache-closed cycle is not ``exact`` either.
 from __future__ import annotations
 
 import pickle
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from ..ir import instructions as ins
 from ..ir.module import Module
@@ -99,20 +107,31 @@ _LOCAL_BURST = 4096
 #: Supported reduction levels, weakest first.
 REDUCTIONS = ("none", "sleep", "sleep+cache")
 
-#: An action footprint: (is_global, reads, writes).  Global actions
-#: (fences, CAS, fork/join, allocation, calls/returns — anything whose
-#: commutativity we do not prove) conflict with everything.
-Footprint = Tuple[bool, FrozenSet[int], FrozenSet[int]]
+#: A footprint cell: a shared-memory address, or a thread's ``("done",
+#: tid)`` cell (its status and result).
+Cell = Union[int, Tuple[str, int]]
 
-_EMPTY: FrozenSet[int] = frozenset()
+#: An action footprint: (is_global, reads, writes).  Global actions
+#: (fences, CAS, fork, allocation, calls into recorded operations, a
+#: blocked join's completion — anything whose commutativity we do not
+#: prove) conflict with everything.
+Footprint = Tuple[bool, FrozenSet[Cell], FrozenSet[Cell]]
+
+_EMPTY: FrozenSet[Cell] = frozenset()
 _GLOBAL_FP: Footprint = (True, _EMPTY, _EMPTY)
-#: A buffered store: appends to the issuing thread's own FIFO buffer,
-#: invisible to every other thread until a *flush* commits it — so it
-#: commutes with everything except that thread's own actions (which are
-#: never candidates for each other's sleep sets anyway).  Only the
-#: ``none`` level branches on a buffered store; the sleep levels run it
-#: eagerly (:func:`_advance_local`).
+#: An action that touches only its own thread: a plain call or return
+#: (the thread's frames), or a buffered store, which appends to the
+#: issuing thread's own FIFO buffer, invisible to every other thread
+#: until a *flush* commits it.  It commutes with everything except that
+#: thread's own actions (which are never candidates for each other's
+#: sleep sets anyway).  Only the ``none`` level branches on a buffered
+#: store; the sleep levels run it eagerly (:func:`_advance_local`).
 _LOCAL_FP: Footprint = (False, _EMPTY, _EMPTY)
+#: A join whose target has not finished: stepping it would only block
+#: the joiner.  Only ``none`` branches on it; at the sleep levels the
+#: joiner waits until the target finishes (:meth:`_Search._visit`
+#: drops the option, telling this object apart by identity).
+_WAIT_FP: Footprint = (True, _EMPTY, _EMPTY)
 
 
 class ExplorationResult:
@@ -240,11 +259,13 @@ def _advance_local(vm: VM, local: frozenset) -> List[int]:
 # ----------------------------------------------------------------------
 # Footprints and independence
 
-def _step_footprint(vm: VM, thread: Thread) -> Footprint:
-    """The shared-state footprint of an enabled thread's next step."""
+def _step_footprint(vm: VM, thread: Thread) -> Optional[Footprint]:
+    """The shared-state footprint of an enabled thread's next step, or
+    None for a join, whose footprint depends on its target's state and
+    is computed afresh at every visit (:func:`_join_option`)."""
     if thread.status is not ThreadStatus.RUNNABLE:
-        # Blocked-join completion: drains the target's buffers and
-        # changes scheduling state — treat as global.
+        # Blocked-join completion (reachable at reduction="none" only):
+        # drains the target's buffers and changes scheduling state.
         return _GLOBAL_FP
     frame = thread.frames[-1]
     instr = frame.fn.body[frame.ip]
@@ -258,7 +279,45 @@ def _step_footprint(vm: VM, thread: Thread) -> Footprint:
             addr = vm._value(instr.addr, frame)
             return (False, _EMPTY, frozenset((addr,)))
         return _LOCAL_FP  # reachable at reduction="none" only
+    if cls is ins.Ret:
+        if frame.op_index is not None:
+            return _GLOBAL_FP  # completes a recorded operation
+        if len(thread.frames) == 1:
+            # Finishes the thread: writes its status and result, which
+            # only a join on it reads.  Its buffer still flushes.
+            return (False, _EMPTY, _done_cell(thread.tid))
+        return _LOCAL_FP
+    if cls is ins.Call:
+        return _GLOBAL_FP if instr.fn in vm.operations else _LOCAL_FP
+    if cls is ins.Join:
+        return None
     return _GLOBAL_FP
+
+
+def _done_cell(tid: int) -> FrozenSet[Cell]:
+    """The footprint set holding thread *tid*'s done cell."""
+    return frozenset((("done", tid),))
+
+
+def _join_option(vm: VM, thread: Thread, ident: Tuple) -> Option:
+    """The step option of a thread whose next instruction is a join.
+
+    A finished target's join reads the target's done cell and drains its
+    buffers, so it writes every address they hold.  The target's status
+    and buffers change while the joiner stands still, so the option is
+    never cached in ``Thread.step_option``.  An unfinished target's join
+    would only block (:data:`_WAIT_FP`); an unknown target's raises when
+    stepped.
+    """
+    frame = thread.frames[-1]
+    target_tid = vm._value(frame.fn.body[frame.ip].tid, frame)
+    target = vm.threads.get(target_tid)
+    if target is None:
+        return (ident, ident, _GLOBAL_FP)
+    if not target.finished:
+        return (ident, ident, _WAIT_FP)
+    return (ident, ident, (False, _done_cell(target_tid),
+                           frozenset(vm.model.pending_addrs(target_tid))))
 
 
 #: Flush footprints memoised per address.
@@ -286,7 +345,8 @@ def _conflict(a: Footprint, b: Footprint) -> bool:
 #: while the action is deferred.  ("step", tid) is stable because a slept
 #: thread cannot move; a TSO flush is applied as ("flush", tid, None) but
 #: identified by its head address, which is pinned while slept (only the
-#: thread's own global actions could drain it, and those conflict).
+#: thread's own global actions or a join on it could drain it, and those
+#: conflict).
 Option = Tuple[Tuple, Tuple, Footprint]
 
 
@@ -295,10 +355,12 @@ def _options(vm: VM, enabled: List[int]) -> List[Option]:
     (ascending, as :func:`_advance_local` returns them), then flushes.
 
     A thread's step option depends only on its own state, so it is
-    cached in ``Thread.step_option`` and cleared with ``Thread.key``.
-    The flush options depend only on the store buffers, so they are
-    cached in ``StoreBufferModel.flush_options``, cleared with the
-    buffer fingerprint.
+    cached in ``Thread.step_option`` and cleared with ``Thread.key`` —
+    except a join's, which depends on its target and is rebuilt at every
+    visit (:func:`_join_option`).  The flush options depend only on the
+    store buffers, so they are cached in
+    ``StoreBufferModel.flush_options``, cleared with the buffer
+    fingerprint.
     """
     threads = vm.threads
     opts: List[Option] = []
@@ -309,6 +371,8 @@ def _options(vm: VM, enabled: List[int]) -> List[Option]:
             ident = ("step", tid)
             opt = thread.step_option = (ident, ident,
                                         _step_footprint(vm, thread))
+        if opt[2] is None:
+            opt = _join_option(vm, thread, opt[1])
         opts.append(opt)
     model = vm.model
     flushes = model.flush_options
@@ -529,6 +593,10 @@ class _Search:
         vm = self.vm
         stats = self.stats
         options = _options(vm, enabled)
+        if self.use_sleep:
+            # A join on an unfinished target would only block: the
+            # joiner waits until the target finishes, then joins it.
+            options = [o for o in options if o[2] is not _WAIT_FP]
         if not options:
             self.outcomes.add(self.outcome_fn(vm))
             stats.paths += 1

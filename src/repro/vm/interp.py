@@ -267,9 +267,11 @@ class VM:
         return self.model.flush_one(tid, addr)
 
     def drain_all(self) -> None:
-        """Flush every remaining buffer (end of execution), oldest first."""
-        for tid in sorted(self.threads):
-            self.model.drain(tid)
+        """Flush every remaining buffer (end of execution), threads
+        ascending, each oldest first."""
+        model = self.model
+        for tid in model.pending_tids():
+            model.drain(tid)
 
     # ------------------------------------------------------------------
     # Value evaluation

@@ -65,8 +65,11 @@ class Thread:
 
     ``key`` and ``step_option`` cache the thread's component of the
     explorer's canonical state key and its "step this thread" branch
-    option (``None`` until computed).  The key component is a small int:
-    the id the current search interned the thread's full state tuple as
+    option (``None`` until computed; for a thread at a join, an option
+    whose footprint is ``None``, since the join's footprint depends on
+    its target and the explorer rebuilds it at every visit).  The key
+    component is a small int: the id the current search interned the
+    thread's full state tuple as
     (``repro.sched.explorer._state_key``), meaningful only inside that
     search, whose VM and threads are its own.  Both depend only on this
     thread's own state, so filling them in on a shared thread is safe.

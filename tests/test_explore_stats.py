@@ -5,17 +5,20 @@ escapes, and snapshot sizes that do not depend on the VM backend.
 The ``sleep+cache`` counters are pinned to the search with eager
 buffered stores (a TSO/PSO store runs in its thread's local burst and
 is never a branch point; under SC the search is the one before that
-change) and with one stored sleep set per cached state (a revisit
+change), with one stored sleep set per cached state (a revisit
 branches only on options asleep at every earlier visit and awake now,
-so no edge out of a closed cached state runs twice).  The stored-set
-rule lowered ``pruned`` and ``cache_hits`` only: ``paths`` and
-``cache_states`` are the numbers of the covered-sleep-list search
-before it, because the search visits the same states.  The cached
-state keys and step options must leave every cache and sleep-set
-decision as the uncached explorer makes it, so any drift in these
-numbers is a change of search; the replay sweep of
-``test_explore_equivalence.py`` guards exactness and
-``test_cache_revisits.py`` the visited states and edges.
+so no edge out of a closed cached state runs twice), and with thread
+lifecycle footprints: a thread's final ``ret`` writes only its own
+done cell, a plain call or return is thread-local, and a join waits
+for its target instead of branching on a step that would only block.
+The lifecycle rules wake fewer slept options, so they cut ``paths``
+(sb4/tso 24 -> 17, no outcome lost), ``cache_states`` and
+``cache_hits`` while ``pruned`` rose.  The cached state keys and step
+options must leave every cache and sleep-set decision as the uncached
+explorer makes it, so any drift in these numbers is a change of
+search; the replay sweep of ``test_explore_equivalence.py`` guards
+exactness, ``test_cache_revisits.py`` the visited states and edges,
+and ``test_lifecycle_footprints.py`` the joins.
 """
 
 import json
@@ -33,19 +36,19 @@ from repro.sched.explorer import explore
 #: (program, model) -> (paths, pruned, cache_hits, cache_states) at the
 #: default ``sleep+cache`` reduction.
 PINNED = {
-    ("sb", "sc"): (3, 2, 9, 32),
-    ("sb", "tso"): (6, 25, 46, 73),
-    ("sb", "pso"): (6, 25, 46, 73),
-    ("mp", "sc"): (2, 1, 6, 21),
-    ("mp", "tso"): (3, 2, 18, 31),
-    ("mp", "pso"): (6, 12, 32, 52),
-    ("2+2w", "pso"): (4, 20, 88, 90),
-    ("sb3", "tso"): (12, 561, 820, 631),
-    ("sb3", "pso"): (12, 561, 820, 631),
+    ("sb", "sc"): (3, 5, 0, 20),
+    ("sb", "tso"): (5, 38, 2, 38),
+    ("sb", "pso"): (5, 38, 2, 38),
+    ("mp", "sc"): (2, 3, 0, 13),
+    ("mp", "tso"): (2, 7, 0, 16),
+    ("mp", "pso"): (3, 19, 0, 22),
+    ("2+2w", "pso"): (4, 25, 66, 73),
+    ("sb3", "tso"): (9, 694, 29, 272),
+    ("sb3", "pso"): (9, 694, 29, 272),
     # sb4 under tso/pso carries most of an explore-litmus perfbench pass.
-    ("sb4", "sc"): (15, 485, 1684, 1366),
-    ("sb4", "tso"): (24, 9477, 10815, 5143),
-    ("sb4", "pso"): (24, 9477, 10815, 5143),
+    ("sb4", "sc"): (15, 1174, 44, 598),
+    ("sb4", "tso"): (17, 10009, 543, 2024),
+    ("sb4", "pso"): (17, 10009, 543, 2024),
 }
 
 #: A spin loop that never ends.  The counter makes every iteration a new

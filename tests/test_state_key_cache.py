@@ -65,7 +65,10 @@ def checked_explore(monkeypatch):
 
     def options(vm, enabled):
         opts = cached_options(vm, enabled)
-        assert opts == reference.options(vm)
+        # The reference leaves out the joins that would only block, as
+        # the sleep levels do.
+        assert [o for o in opts if o[2] is not explorer._WAIT_FP] \
+            == reference.options(vm)
         return opts
 
     monkeypatch.setattr(explorer, "_state_key", state_key)
