@@ -26,12 +26,18 @@ On top of the incremental walk it layers two sound reductions:
   its own done cell (its status and result), which only a join on the
   thread reads.  Sleep sets alone still visit every reachable state, so
   outcome and violation sets are preserved exactly.
-  At both sleep levels a buffered store (TSO/PSO) is also never a branch
-  point: it runs in its thread's eager local burst, like a register op.
-  It appends to the tail of its own thread's FIFO buffer, so it commutes
-  with every other action, cannot be disabled and enables or disables
-  nothing — ``{store}`` is a persistent set, and running it at once
-  keeps every terminal state and every violation.  Nor is a join on an
+  At both sleep levels a plain call, a return and a buffered store
+  (TSO/PSO) are never branch points either: they run in their thread's
+  eager local burst, like a register op.  A call or an inner return
+  touches only its own thread's frames, and a store appends to the tail
+  of its own thread's FIFO buffer, so each commutes with every other
+  action, cannot be disabled and enables or disables nothing.  A final
+  return writes only its thread's done cell, and the only action that
+  reads it — a join on the thread — is not an option before the return
+  has run.  Each is therefore a singleton persistent set, and running
+  it at once keeps every terminal state and every violation.  (This
+  holds because ``explore`` records no operations: a call into a
+  recorded operation would be global.)  Nor is a join on an
   unfinished thread an option there: the step would only block the
   joiner, so the joiner waits until the target finishes and then joins
   it in one step, which reads the target's done cell and writes every
@@ -89,7 +95,8 @@ from ..memory.models import StoreBufferModel, make_model
 from ..obs.recorder import NULL_RECORDER
 from ..vm.compile import make_vm
 from ..vm.errors import SpecViolationError, StepLimitExceeded
-from ..vm.interp import LOCAL_OPS_ASSERT, LOCAL_OPS_STORE, VM, VMSnapshot
+from ..vm.interp import (LOCAL_OPS_ASSERT, LOCAL_OPS_CALL, LOCAL_OPS_STORE,
+                         VM, VMSnapshot)
 from ..vm.state import Thread, ThreadStatus
 
 #: Builds a fresh memory-model instance for one exploration.
@@ -119,13 +126,14 @@ Footprint = Tuple[bool, FrozenSet[Cell], FrozenSet[Cell]]
 
 _EMPTY: FrozenSet[Cell] = frozenset()
 _GLOBAL_FP: Footprint = (True, _EMPTY, _EMPTY)
-#: An action that touches only its own thread: a plain call or return
-#: (the thread's frames), or a buffered store, which appends to the
-#: issuing thread's own FIFO buffer, invisible to every other thread
+#: An action that touches only its own thread: a plain call or inner
+#: return (the thread's frames), or a buffered store, which appends to
+#: the issuing thread's own FIFO buffer, invisible to every other thread
 #: until a *flush* commits it.  It commutes with everything except that
 #: thread's own actions (which are never candidates for each other's
-#: sleep sets anyway).  Only the ``none`` level branches on a buffered
-#: store; the sleep levels run it eagerly (:func:`_advance_local`).
+#: sleep sets anyway).  Only the ``none`` level branches on these; the
+#: sleep levels run them eagerly (:func:`_advance_local`), so there the
+#: footprint is never computed.
 _LOCAL_FP: Footprint = (False, _EMPTY, _EMPTY)
 #: A join whose target has not finished: stepping it would only block
 #: the joiner.  Only ``none`` branches on it; at the sleep levels the
@@ -216,34 +224,40 @@ class ExploreStats:
 def _advance_local(vm: VM, local: frozenset) -> List[int]:
     """Eagerly run every thread's instructions of class *local*.
 
-    *local* is ``LOCAL_OPS_ASSERT`` (register ops, branches, asserts) or,
-    under a buffering model at the sleep levels, ``LOCAL_OPS_STORE``,
-    which adds buffered stores.  Local steps commute with all other
-    threads' actions, so executing them without branching preserves the
-    reachable outcome set while collapsing the search tree (the
-    explorer's partial-order reduction).
+    *local* is ``LOCAL_OPS_ASSERT`` (register ops, branches, asserts) at
+    ``reduction="none"``; at the sleep levels it is ``LOCAL_OPS_CALL``,
+    which adds plain calls and returns, or, under a buffering model,
+    ``LOCAL_OPS_STORE``, which adds buffered stores too.  Each such step
+    is a singleton persistent set: it commutes with every other
+    thread's actions, or (a final return) conflicts only with a join on
+    its thread, which cannot be an option before the return has run.
+    Executing them without branching preserves the reachable outcome
+    set while collapsing the search tree (the explorer's partial-order
+    reduction).
     Each thread's local run is executed to completion before moving to
     the next thread (rather than one op per thread round-robin) — the
     commutativity that justifies the reduction also makes the two orders
     reach the same state at every decision point, and depth-first runs
     let the compiled VM use superinstructions.
 
-    One sweep suffices: a local op cannot enable or disable a thread or
-    change what another thread runs next, so a thread whose burst
-    stopped short stays stopped.  Only a burst that used its whole
-    budget may have more to run, and then the sweep repeats.  Every
-    thread that ran clears its cached state-key component and step
-    option.  A thread whose step option is cached has not run since
-    :func:`_options` saw it at a non-local op, so it is skipped.
+    One sweep suffices: a local op cannot enable or disable another
+    thread or change what another thread runs next, so a thread whose
+    burst stopped short stays stopped.  A final return can enable only
+    a thread waiting to join it, whose next instruction is that join,
+    which is never local.  Only a burst that used its whole budget may
+    have more to run, and then the sweep repeats.  Every thread that ran
+    clears its cached state-key component and step option.  A thread
+    whose step option is cached has not run since :func:`_options` saw
+    it at a non-local op, so it is skipped.
 
-    Returns the enabled tids, which the sweep leaves unchanged.
+    Returns the enabled tids after the sweep: a final return removes
+    its thread.
     """
     threads = vm.threads
     again = True
     while again:
         again = False
-        enabled = vm.enabled_tids()
-        for tid in enabled:
+        for tid in vm.enabled_tids():
             if threads[tid].step_option is not None:
                 continue
             executed = vm.run_local(tid, _LOCAL_BURST, local)
@@ -253,7 +267,7 @@ def _advance_local(vm: VM, local: frozenset) -> List[int]:
                 thread.key = thread.step_option = None
                 if executed == _LOCAL_BURST:
                     again = True
-    return enabled
+    return vm.enabled_tids()
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +298,9 @@ def _step_footprint(vm: VM, thread: Thread) -> Optional[Footprint]:
             return _GLOBAL_FP  # completes a recorded operation
         if len(thread.frames) == 1:
             # Finishes the thread: writes its status and result, which
-            # only a join on it reads.  Its buffer still flushes.
+            # only a join on it reads.  Its buffer still flushes.  An
+            # option at reduction="none" only: the sleep levels run it
+            # in the local burst.
             return (False, _EMPTY, _done_cell(thread.tid))
         return _LOCAL_FP
     if cls is ins.Call:
@@ -493,11 +509,21 @@ class _Search:
         self.outcome_fn = outcome_fn
         self.max_paths = max_paths
         self.use_sleep = use_sleep
-        # Under SC a store is a real shared write, and reduction="none"
-        # mirrors the replay reference's tree: both keep stores as
-        # branch points.
-        self.local = (LOCAL_OPS_STORE if use_sleep and vm.model.name != "sc"
-                      else LOCAL_OPS_ASSERT)
+        # The sleep levels run calls and returns in the local burst.
+        # That relies on explore() building its VM with no recorded
+        # operations: every call is then plain and every frame's
+        # op_index is None.  A call into a recorded operation, or its
+        # return, is a global action and must branch, so a VM that
+        # records operations (only tests build one) keeps the set of
+        # reduction="none", which mirrors the replay reference's tree.
+        # Under SC a store is a real shared write, so only TSO/PSO run
+        # stores eagerly.
+        if not use_sleep or vm.operations:
+            self.local = LOCAL_OPS_ASSERT
+        elif vm.model.name == "sc":
+            self.local = LOCAL_OPS_CALL
+        else:
+            self.local = LOCAL_OPS_STORE
         self.cache = cache
         self.stats = stats
         self.outcomes = outcomes

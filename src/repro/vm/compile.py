@@ -25,8 +25,9 @@ thread-local register ops are fused, and they are only executed in bulk
 inside :meth:`CompiledVM.run_local` — the partial-order-reduction burst
 that :meth:`VM.run_local` defines as "run local instructions until the next
 scheduler-visible action (load, store, CAS, fence, fork/join, operation
-call/return) or the budget runs out" (the explorer's burst under
-TSO/PSO runs buffered stores too, one at a time).  ``step()`` itself
+call/return) or the budget runs out" (the explorer's burst at its
+sleep levels runs calls and returns too, and under TSO/PSO buffered
+stores, one at a time).  ``step()`` itself
 always executes exactly one instruction, so every existing call site
 (round-robin, replay, explorer tree edges) keeps per-instruction
 semantics.  The ``steps``/``seq`` counters, coverage sets, and the
@@ -65,7 +66,8 @@ from ..ir import instructions as ins
 from ..ir.function import Function
 from ..ir.operands import Const, Reg, Sym
 from .errors import AssertionViolation, InterpreterError, StepLimitExceeded
-from .interp import LOCAL_OPS, LOCAL_OPS_ASSERT, LOCAL_OPS_STORE, VM
+from .interp import (LOCAL_OPS, LOCAL_OPS_ASSERT, LOCAL_OPS_CALL,
+                     LOCAL_OPS_STORE, VM)
 from .state import Frame, Thread, ThreadStatus
 
 #: A compiled instruction: executes its op(s) and sets ``frame.ip``.
@@ -79,6 +81,11 @@ _FINISHED = ThreadStatus.FINISHED
 
 #: Pure register-op classes eligible for superinstruction fusion.
 _FUSABLE = frozenset((ins.ConstInstr, ins.Mov, ins.BinOp, ins.UnOp))
+
+#: Instruction classes that change the thread's top frame: a local
+#: burst that runs them stops its inner loop there and resumes in the
+#: frame they leave on top.
+_FRAME_OPS = frozenset((ins.Call, ins.Ret))
 
 
 def make_vm(module, model, **kwargs) -> VM:
@@ -725,12 +732,16 @@ class CompiledCode:
     * ``label_of``— the label at offset i.
 
     ``local`` maps each locality set of :mod:`repro.vm.interp`
-    (``LOCAL_OPS``, ``LOCAL_OPS_ASSERT``, ``LOCAL_OPS_STORE``) to its
-    flags per offset, the form :meth:`CompiledVM.run_local` selects.
+    (``LOCAL_OPS``, ``LOCAL_OPS_ASSERT``, ``LOCAL_OPS_CALL``,
+    ``LOCAL_OPS_STORE``) to its flags per offset, the form
+    :meth:`CompiledVM.run_local` selects.  ``inner`` holds the same flags
+    with calls and returns cleared: the ones the burst's inner loop runs
+    without leaving the frame.  For a set without calls and returns it
+    is the ``local`` tuple itself.
     """
 
     __slots__ = ("fn_name", "version", "code", "singles", "ops", "labels",
-                 "label_of", "local")
+                 "label_of", "local", "inner")
 
     def __init__(self, fn: Function) -> None:
         body = fn.body
@@ -740,9 +751,16 @@ class CompiledCode:
                    for i, instr in enumerate(body)]
         self.singles = singles
         self.label_of = tuple(instr.label for instr in body)
-        self.local = {ops: tuple(instr.__class__ in ops for instr in body)
-                      for ops in (LOCAL_OPS, LOCAL_OPS_ASSERT,
-                                  LOCAL_OPS_STORE)}
+        self.local = local = {
+            ops: tuple(instr.__class__ in ops for instr in body)
+            for ops in (LOCAL_OPS, LOCAL_OPS_ASSERT, LOCAL_OPS_CALL,
+                        LOCAL_OPS_STORE)}
+        self.inner = {
+            ops: (flags if ops.isdisjoint(_FRAME_OPS) else
+                  tuple(instr.__class__ in ops
+                        and instr.__class__ not in _FRAME_OPS
+                        for instr in body))
+            for ops, flags in local.items()}
 
         targets = set()
         for instr in body:
@@ -871,6 +889,12 @@ class CompiledVM(VM):
         superinstruction closure; a run that would overshoot the budget
         falls back to single-op closures, so the burst never executes
         more instructions than the budget.
+
+        The inner loop runs one frame's ``inner`` flags and never looks
+        at frames.  Only where it stops does the burst consult the
+        ``local`` flags: a call or return in *local* then runs as one
+        step, and the burst resumes in the frame it leaves on top, or
+        ends when a final return finished the thread.
         """
         thread = self.threads[tid]
         if thread.status is not _RUNNABLE:
@@ -879,16 +903,13 @@ class CompiledVM(VM):
         code = frame.code
         if code is None:
             code = frame.code = self._code_for(frame.fn)
-        local = code.local[local]
-        if not local[frame.ip]:
+        flags = code.local[local]
+        if not flags[frame.ip]:
             return 0
         if thread.epoch != self._generation:
             thread = self._own(tid)
             frame = thread.frames[-1]
-        preferred = code.code
-        singles = code.singles
-        ops = code.ops
-        labels = code.labels
+        frames = thread.frames
         coverage = self.coverage
         max_steps = self.max_steps
         # Local ops never read the counters, so they live in locals for
@@ -898,35 +919,66 @@ class CompiledVM(VM):
         seq = self.seq
         executed = 0
         try:
-            while executed < budget:
-                ip = frame.ip
-                if not local[ip]:
-                    break
-                cl = preferred[ip]
-                n = ops[ip]
-                if n > budget - executed:
-                    cl = singles[ip]
-                    n = 1
-                new_steps = steps + n
-                if new_steps > max_steps:
-                    # The limit falls inside this batch: revert to exact
-                    # per-op accounting so the exception is raised at the
-                    # instruction that exceeds it.
-                    while True:
-                        steps += 1
-                        if steps > max_steps:
-                            raise StepLimitExceeded(
-                                "execution exceeded %d steps" % max_steps)
-                        seq += 1
-                        if coverage is not None:
-                            coverage.add(code.label_of[frame.ip])
-                        singles[frame.ip](self, thread, frame)
-                steps = new_steps
-                seq += n
+            while True:
+                inner = code.inner[local]
+                preferred = code.code
+                singles = code.singles
+                ops = code.ops
+                labels = code.labels
+                while executed < budget:
+                    ip = frame.ip
+                    if not inner[ip]:
+                        break
+                    cl = preferred[ip]
+                    n = ops[ip]
+                    if n > budget - executed:
+                        cl = singles[ip]
+                        n = 1
+                    new_steps = steps + n
+                    if new_steps > max_steps:
+                        # The limit falls inside this batch: revert to
+                        # exact per-op accounting so the exception is
+                        # raised at the instruction that exceeds it.
+                        while True:
+                            steps += 1
+                            if steps > max_steps:
+                                raise StepLimitExceeded(
+                                    "execution exceeded %d steps"
+                                    % max_steps)
+                            seq += 1
+                            if coverage is not None:
+                                coverage.add(code.label_of[frame.ip])
+                            singles[frame.ip](self, thread, frame)
+                    steps = new_steps
+                    seq += n
+                    if coverage is not None:
+                        coverage.update(labels[ip])
+                    cl(self, thread, frame)
+                    executed += n
+                else:
+                    break  # budget used up
+                if not flags[ip]:
+                    break  # a scheduler-visible action
+                # A call or return: one step, with the counters written
+                # back first (an operation's history record reads seq).
+                steps += 1
+                if steps > max_steps:
+                    raise StepLimitExceeded(
+                        "execution exceeded %d steps" % max_steps)
+                seq += 1
+                self.steps = steps
+                self.seq = seq
                 if coverage is not None:
-                    coverage.update(labels[ip])
-                cl(self, thread, frame)
-                executed += n
+                    coverage.add(code.label_of[ip])
+                singles[ip](self, thread, frame)
+                executed += 1
+                if not frames:
+                    break  # a final return finished the thread
+                frame = frames[-1]
+                code = frame.code
+                if code is None:
+                    code = frame.code = self._code_for(frame.fn)
+                flags = code.local[local]
         finally:
             self.steps = steps
             self.seq = seq

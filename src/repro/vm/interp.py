@@ -37,16 +37,22 @@ DEFAULT_MAX_STEPS = 200_000
 #: additionally treats ``assert`` as local (its violation surfaces on
 #: every interleaving once its operands are fixed); the random scheduler
 #: keeps asserts as scheduling points, matching its historical behaviour.
-#: Under a buffering model (TSO/PSO) the explorer also runs stores
-#: eagerly: a store only appends to the issuing thread's own FIFO
-#: buffer, so it commutes with every other thread's action and with the
-#: flush of its buffer's head (see DESIGN, "Eager stores").
+#: At its sleep levels the explorer also runs calls and returns eagerly
+#: (``LOCAL_OPS_CALL``): with no recorded operations a call or an inner
+#: return touches only its own thread's frames, and a final return
+#: writes only the thread's done cell, which only a join on it reads.
+#: Under a buffering model (TSO/PSO) it runs stores eagerly too
+#: (``LOCAL_OPS_STORE``): a store only appends to the issuing thread's
+#: own FIFO buffer, so it commutes with every other thread's action and
+#: with the flush of its buffer's head (see DESIGN, "Eager thread-local
+#: steps").
 LOCAL_OPS = frozenset((
     ins.ConstInstr, ins.Mov, ins.BinOp, ins.UnOp,
     ins.Br, ins.Cbr, ins.Nop, ins.SelfId, ins.AddrOf,
 ))
 LOCAL_OPS_ASSERT = LOCAL_OPS | frozenset((ins.Assert,))
-LOCAL_OPS_STORE = LOCAL_OPS_ASSERT | frozenset((ins.Store,))
+LOCAL_OPS_CALL = LOCAL_OPS_ASSERT | frozenset((ins.Call, ins.Ret))
+LOCAL_OPS_STORE = LOCAL_OPS_CALL | frozenset((ins.Store,))
 
 
 class VMSnapshot:
@@ -304,15 +310,21 @@ class VM:
         """Execute up to *budget* consecutive thread-local instructions.
 
         Stops early as soon as the thread's next instruction is not in
-        *local* (shared access, fence, call/return, fork/join, allocation
-        — the scheduler-visible actions) or the thread cannot step.
-        Returns the number of instructions executed.  *local* is one of
+        *local* (shared access, fence, fork/join, allocation and, unless
+        *local* holds them, stores, calls and returns — the
+        scheduler-visible actions) or the thread cannot step.  Returns
+        the number of instructions executed.  *local* is one of
         :data:`LOCAL_OPS` (the random scheduler), :data:`LOCAL_OPS_ASSERT`
-        or :data:`LOCAL_OPS_STORE` (the explorer's two variants).
+        (the explorer's ``none`` level), :data:`LOCAL_OPS_CALL` or
+        :data:`LOCAL_OPS_STORE` (its sleep levels under SC and under
+        TSO/PSO).
 
         Semantically this is exactly ``budget`` repetitions of "peek;
         stop if non-local; :meth:`step`", with the same per-instruction
-        accounting (steps, seq, coverage, step limit).
+        accounting (steps, seq, coverage, step limit).  The burst
+        follows the thread across frames: a call continues in the
+        callee, a return in the caller, and a final return finishes the
+        thread and ends the burst.
         """
         raise NotImplementedError
 

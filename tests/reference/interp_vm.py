@@ -77,16 +77,21 @@ class InterpVM(VM):
         """Execute up to *budget* consecutive thread-local instructions.
 
         Stops early as soon as the thread's next instruction is not in
-        *local* (shared access, fence, call/return, fork/join, allocation
-        — the scheduler-visible actions) or the thread cannot step.
-        Returns the number of instructions executed.  *local* is one of
+        *local* (shared access, fence, fork/join, allocation and, unless
+        *local* holds them, stores, calls and returns — the
+        scheduler-visible actions) or the thread cannot step.  Returns
+        the number of instructions executed.  *local* is one of
         :data:`LOCAL_OPS` (the random scheduler), :data:`LOCAL_OPS_ASSERT`
-        or :data:`LOCAL_OPS_STORE` (the explorer's two variants).
+        (the explorer's ``none`` level), :data:`LOCAL_OPS_CALL` or
+        :data:`LOCAL_OPS_STORE` (its sleep levels under SC and under
+        TSO/PSO).
 
         Semantically this is exactly ``budget`` repetitions of
         "peek; stop if non-local; step" — the compiled VM implements it
         with superinstruction execution whose per-instruction accounting
-        (steps, seq, coverage, step limit) is identical.
+        (steps, seq, coverage, step limit) is identical.  Since ``peek``
+        reads the top frame, the loop follows the thread across calls
+        and returns, and a final return ends it (``peek`` is None).
         """
         executed = 0
         step = self.step

@@ -10,9 +10,9 @@ agree on outcomes, violations and completeness at every reduction level,
 and path-for-path at ``reduction="none"``.
 
 It keeps its own eager local advance, with the locality the explorer
-uses at ``reduction="none"`` (register ops, branches and asserts; stores
-stay branch points), so the oracle never inherits the eager-store
-reduction it checks.
+uses at ``reduction="none"`` (register ops, branches and asserts;
+stores, calls and returns stay branch points), so the oracle never
+inherits the eager store, call and return reduction it checks.
 """
 
 from __future__ import annotations

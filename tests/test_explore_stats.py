@@ -3,22 +3,24 @@ counted, exact results under a step limit that only a cached path
 escapes, and snapshot sizes that do not depend on the VM backend.
 
 The ``sleep+cache`` counters are pinned to the search with eager
-buffered stores (a TSO/PSO store runs in its thread's local burst and
-is never a branch point; under SC the search is the one before that
-change), with one stored sleep set per cached state (a revisit
-branches only on options asleep at every earlier visit and awake now,
-so no edge out of a closed cached state runs twice), and with thread
-lifecycle footprints: a thread's final ``ret`` writes only its own
-done cell, a plain call or return is thread-local, and a join waits
-for its target instead of branching on a step that would only block.
-The lifecycle rules wake fewer slept options, so they cut ``paths``
-(sb4/tso 24 -> 17, no outcome lost), ``cache_states`` and
-``cache_hits`` while ``pruned`` rose.  The cached state keys and step
+thread-local steps (a plain call, an inner return, a thread's final
+return and, under TSO/PSO, a buffered store run in their thread's
+local burst and are never branch points), with one stored sleep set
+per cached state (a revisit branches only on options asleep at every
+earlier visit and awake now, so no edge out of a closed cached state
+runs twice), and with thread lifecycle footprints: a join waits for
+its target instead of branching on a step that would only block.
+Running calls and returns eagerly cut ``cache_states`` (sb4/tso
+2024 -> 565), ``cache_hits`` and ``pruned``, while ``paths`` rose
+(sb4/tso 17 -> 25, sb3 9 -> 13, sb 5 -> 6): leaves that used to end
+as cache hits just before a final return are now reached.  No
+outcome moved.  The cached state keys and step
 options must leave every cache and sleep-set decision as the uncached
 explorer makes it, so any drift in these numbers is a change of
 search; the replay sweep of ``test_explore_equivalence.py`` guards
 exactness, ``test_cache_revisits.py`` the visited states and edges,
-and ``test_lifecycle_footprints.py`` the joins.
+``test_lifecycle_footprints.py`` the joins and ``test_eager_calls.py``
+the eager calls and returns.
 """
 
 import json
@@ -36,19 +38,19 @@ from repro.sched.explorer import explore
 #: (program, model) -> (paths, pruned, cache_hits, cache_states) at the
 #: default ``sleep+cache`` reduction.
 PINNED = {
-    ("sb", "sc"): (3, 5, 0, 20),
-    ("sb", "tso"): (5, 38, 2, 38),
-    ("sb", "pso"): (5, 38, 2, 38),
-    ("mp", "sc"): (2, 3, 0, 13),
-    ("mp", "tso"): (2, 7, 0, 16),
-    ("mp", "pso"): (3, 19, 0, 22),
-    ("2+2w", "pso"): (4, 25, 66, 73),
-    ("sb3", "tso"): (9, 694, 29, 272),
-    ("sb3", "pso"): (9, 694, 29, 272),
+    ("sb", "sc"): (3, 2, 0, 13),
+    ("sb", "tso"): (6, 19, 0, 23),
+    ("sb", "pso"): (6, 19, 0, 23),
+    ("mp", "sc"): (2, 1, 0, 8),
+    ("mp", "tso"): (2, 3, 0, 10),
+    ("mp", "pso"): (3, 9, 0, 14),
+    ("2+2w", "pso"): (4, 18, 56, 56),
+    ("sb3", "tso"): (13, 234, 13, 118),
+    ("sb3", "pso"): (13, 234, 13, 118),
     # sb4 under tso/pso carries most of an explore-litmus perfbench pass.
-    ("sb4", "sc"): (15, 1174, 44, 598),
-    ("sb4", "tso"): (17, 10009, 543, 2024),
-    ("sb4", "pso"): (17, 10009, 543, 2024),
+    ("sb4", "sc"): (15, 263, 18, 222),
+    ("sb4", "tso"): (25, 2125, 161, 565),
+    ("sb4", "pso"): (25, 2125, 161, 565),
 }
 
 #: A spin loop that never ends.  The counter makes every iteration a new
