@@ -19,7 +19,9 @@ reference key (``tests/reference/state_key.py``):
 
 The litmus catalog, the corpus and four fuzz seeds take about 3 s;
 ``sb3``'s states, ``sb4``'s edges and fuzz seeds 4-199 are the
-``slow``-marked sweep (about 50 s).
+``slow``-marked sweep (about 50 s).  Tier-1 runs both, on every
+supported Python; ``-m "not slow"`` leaves the sweep out for a quick
+loop.
 """
 
 import glob
@@ -149,7 +151,7 @@ def test_fuzz(traced, seed, model):
 
 
 # ----------------------------------------------------------------------
-# Full sweep (slow)
+# Full sweep (slow; tier-1 runs it, -m "not slow" skips it)
 
 @pytest.mark.slow
 @pytest.mark.parametrize("model", MODELS)

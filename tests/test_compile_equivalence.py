@@ -9,9 +9,10 @@ tests are what make the compiled backend trustworthy.  Each comparison
 runs the same code twice, once inside a ``reference_vm`` block (every
 ``make_vm`` builds the interpreter) and once outside it.
 
-The fast subset runs in every tier-1 invocation; the full sweep (whole
-litmus catalog, corpus reproducers, fresh fuzz programs per model) is
-``slow``-marked and runs in CI's explore-equivalence job.
+Tier-1 runs every test here, on every supported Python.  The full sweep
+(whole litmus catalog, corpus reproducers, fresh fuzz programs per
+model) is ``slow``-marked; ``-m "not slow"`` leaves it out for a quick
+loop.
 """
 
 import glob
@@ -356,7 +357,7 @@ def test_error_inside_fused_run_counts_the_whole_run():
 
 
 # ----------------------------------------------------------------------
-# Full sweep (slow; CI explore-equivalence job)
+# Full sweep (slow; tier-1 runs it, -m "not slow" skips it)
 
 @pytest.mark.slow
 @pytest.mark.parametrize("model", MODELS)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.fuzz import OracleConfig, run_campaign
+from repro.fuzz import run_campaign
 from repro.minic import compile_source
 from tests.test_fuzz_oracles import (
     fence_dropping_factory,
@@ -63,3 +63,12 @@ def test_broken_model_failure_lands_in_corpus(tmp_path):
     assert "FAILING seed" in report.summary()
 
 
+def test_planting_keeps_the_synthesis_oracle_busy():
+    """The generator plants store-buffering and message-passing
+    skeletons so that a healthy share of programs violate under a weak
+    model and exercise the synthesis oracle; a generator or budget
+    change that thins them out shows here."""
+    iters = 12
+    report = run_campaign(seed=0, iters=iters)
+    assert report.ok, report.failures
+    assert len(report.violating_seeds) >= iters // 4
