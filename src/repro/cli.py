@@ -134,12 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 20000); an exhausted budget is "
                              "reported loudly — the outcome set is then "
                              "only a lower bound")
-    parser.add_argument("--reduction", default="sleep+cache",
-                        choices=["none", "sleep", "sleep+cache"],
-                        help="partial-order reduction level for --explore "
-                             "(default: sleep+cache; every level yields "
-                             "the same outcome set — 'none' mirrors the "
-                             "replay baseline path-for-path)")
     parser.add_argument("--profile", action="store_true",
                         help="run the command under cProfile and append "
                              "the top-20 cumulative entries to the report")
@@ -169,10 +163,6 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="path budget for one program's whole oracle "
                              "suite (default: 250000)")
-    parser.add_argument("--reduction", default="sleep+cache",
-                        choices=["none", "sleep", "sleep+cache"],
-                        help="partial-order reduction level for oracle "
-                             "explorations (default: sleep+cache)")
     parser.add_argument("--corpus-dir", metavar="DIR",
                         help="write shrunk reproducers of failing seeds "
                              "into DIR (e.g. tests/corpus)")
@@ -229,7 +219,6 @@ def _fuzz_command(args) -> int:
         oracle_kwargs["max_paths"] = args.max_paths
     if args.max_total_paths is not None:
         oracle_kwargs["max_total_paths"] = args.max_total_paths
-    oracle_kwargs["reduction"] = args.reduction
 
     progress = None
     if args.verbose:
@@ -292,8 +281,7 @@ def _explore(args) -> int:
     for model in ("sc", "tso", "pso"):
         with recorder.span("explore", model=model):
             result = explore(module, model, outcome_fn=thread_results,
-                             max_paths=args.max_paths,
-                             reduction=args.reduction, recorder=recorder)
+                             max_paths=args.max_paths, recorder=recorder)
         stats = result.stats
         if not result.complete:
             status = "BUDGET EXHAUSTED"

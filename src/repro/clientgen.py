@@ -27,7 +27,7 @@ domain (so operations actually collide).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .algorithms.base import AlgorithmBundle
 from .ir.module import Module
@@ -51,6 +51,9 @@ WSQ_SHAPES = [OpShape("put", "unique"), OpShape("take"), OpShape("steal")]
 QUEUE_SHAPES = [OpShape("enqueue", "unique"), OpShape("dequeue")]
 SET_SHAPES = [OpShape("add", "key"), OpShape("remove", "key"),
               OpShape("contains", "key")]
+
+#: The small domain set keys draw from, so operations actually collide.
+KEY_DOMAIN = (3, 5, 7)
 
 #: (shapes, init function, owner-only ops) per known bundle name.
 FAMILIES = {
@@ -80,8 +83,7 @@ class GeneratedClients:
 
 
 def generate_clients(bundle: AlgorithmBundle, count: int = 4,
-                     ops_per_side: int = 3, seed: int = 0,
-                     key_domain: Sequence[int] = (3, 5, 7)
+                     ops_per_side: int = 3, seed: int = 0
                      ) -> GeneratedClients:
     """Generate *count* random clients for *bundle* and compile them.
 
@@ -102,8 +104,7 @@ def generate_clients(bundle: AlgorithmBundle, count: int = 4,
             value_counter[0] += 1
             return "%s%s(%d);" % (indent, shape.name, value_counter[0])
         if shape.arg == "key":
-            return "%s%s(%d);" % (indent, shape.name,
-                                  rng.choice(list(key_domain)))
+            return "%s%s(%d);" % (indent, shape.name, rng.choice(KEY_DOMAIN))
         return "%s%s();" % (indent, shape.name)
 
     def emit_ops(allowed: List[OpShape], limit: int, indent: str) -> str:

@@ -20,7 +20,7 @@ function of ``(seed, iterations, configuration)`` — a failing seed in CI
 reproduces exactly on a laptop.
 """
 
-from .generator import FuzzProgram, GeneratorConfig, ProgramGenerator
+from .generator import FuzzProgram, ProgramGenerator
 from .oracles import (
     OracleConfig,
     OracleFailure,
@@ -34,8 +34,8 @@ from .runner import FuzzFailure, FuzzReport, run_campaign
 from .shrink import shrink
 
 __all__ = [
-    "FuzzFailure", "FuzzProgram", "FuzzReport", "GeneratorConfig",
-    "OracleConfig", "OracleFailure", "OracleReport", "OutcomeSpec",
-    "ProgramGenerator", "check_module", "check_program", "fully_fenced",
-    "run_campaign", "shrink",
+    "FuzzFailure", "FuzzProgram", "FuzzReport", "OracleConfig",
+    "OracleFailure", "OracleReport", "OutcomeSpec", "ProgramGenerator",
+    "check_module", "check_program", "fully_fenced", "run_campaign",
+    "shrink",
 ]

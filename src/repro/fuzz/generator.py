@@ -256,47 +256,38 @@ class FuzzProgram:
 # ----------------------------------------------------------------------
 # Generator
 
-class GeneratorConfig:
-    """Size and mix knobs for program generation.
+#: Shared globals per program (``A``, ``B``, ...), drawn inclusively.
+MIN_GLOBALS, MAX_GLOBALS = 2, 3
 
-    The binding constraint is not statement count but **shared-access
-    budget**: the exhaustive explorer's path count is exponential in the
-    number of shared-memory accesses (loop bodies multiply by their trip
-    count), so the generator allocates a per-program access budget and
-    stops a thread's body when its share is spent.  The defaults keep
-    every program explorable within the oracles' path budget: mostly
-    2 threads, occasionally 3 with a tighter budget.
-    """
+#: Probability that a program gets a third thread.
+THREE_THREAD_PROB = 0.2
 
-    def __init__(self,
-                 min_globals: int = 2, max_globals: int = 3,
-                 three_thread_prob: float = 0.2,
-                 min_accesses: int = 4, max_accesses: int = 5,
-                 max_accesses_three_threads: int = 4,
-                 max_stmts_per_body: int = 5,
-                 racy_skeleton_prob: float = 0.5,
-                 store_weight: float = 0.38, load_weight: float = 0.34,
-                 fence_weight: float = 0.10, cas_weight: float = 0.08,
-                 if_weight: float = 0.06, loop_weight: float = 0.04,
-                 max_const: int = 3) -> None:
-        self.min_globals = min_globals
-        self.max_globals = max_globals
-        self.three_thread_prob = three_thread_prob
-        self.min_accesses = min_accesses
-        self.max_accesses = max_accesses
-        self.max_accesses_three_threads = max_accesses_three_threads
-        self.max_stmts_per_body = max_stmts_per_body
-        #: Probability of planting an sb/mp-shaped conflict skeleton
-        #: before the random tail.  Unbiased random programs rarely
-        #: observe a reordering (the right store/load pattern across
-        #: threads is needed), which would leave the synthesis-soundness
-        #: oracle idle; the skeleton keeps violating programs frequent.
-        self.racy_skeleton_prob = racy_skeleton_prob
-        self.weights = (
-            ("store", store_weight), ("load", load_weight),
-            ("fence", fence_weight), ("cas", cas_weight),
-            ("if", if_weight), ("loop", loop_weight))
-        self.max_const = max_const
+#: Shared-access budget per program, drawn inclusively.  The binding
+#: constraint is not statement count but shared accesses: the exhaustive
+#: explorer's path count is exponential in them (loop bodies multiply by
+#: their trip count), so a thread's body stops when its share is spent.
+#: Three-thread programs get the tighter ceiling, which keeps every
+#: program explorable within the oracles' path budget.
+MIN_ACCESSES = 4
+MAX_ACCESSES = 5
+MAX_ACCESSES_THREE_THREADS = 4
+
+#: Length cap of one thread's top-level body.
+MAX_STMTS_PER_BODY = 5
+
+#: Probability of planting an sb/mp-shaped conflict skeleton before the
+#: random tail.  Unbiased random programs rarely observe a reordering
+#: (the right store/load pattern across threads is needed), which would
+#: leave the synthesis-soundness oracle idle; the skeleton keeps
+#: violating programs frequent.
+RACY_SKELETON_PROB = 0.5
+
+#: Relative weight of each top-level statement kind, in draw order.
+KIND_WEIGHTS = (("store", 0.38), ("load", 0.34), ("fence", 0.10),
+                ("cas", 0.08), ("if", 0.06), ("loop", 0.04))
+
+#: Largest constant a store, CAS or branch condition uses.
+MAX_CONST = 3
 
 
 def _access_cost(stmt: Stmt) -> int:
@@ -317,26 +308,21 @@ def _access_cost(stmt: Stmt) -> int:
 class ProgramGenerator:
     """Draws :class:`FuzzProgram` instances from seeds, deterministically.
 
-    The same ``(config, seed)`` always yields the same program — the
-    fuzzing campaign, CI, and a developer's shell all agree on what
-    "seed 17" means.
+    The same seed always yields the same program — the fuzzing
+    campaign, CI, and a developer's shell all agree on what "seed 17"
+    means.
     """
 
-    def __init__(self, config: Optional[GeneratorConfig] = None) -> None:
-        self.config = config or GeneratorConfig()
-
     def generate(self, seed: int) -> FuzzProgram:
-        cfg = self.config
         rng = random.Random(seed)
-        n_globals = rng.randint(cfg.min_globals, cfg.max_globals)
+        n_globals = rng.randint(MIN_GLOBALS, MAX_GLOBALS)
         global_vars = [chr(ord("A") + i) for i in range(n_globals)]
-        three = rng.random() < cfg.three_thread_prob
+        three = rng.random() < THREE_THREAD_PROB
         n_threads = 3 if three else 2
-        ceiling = cfg.max_accesses_three_threads if three \
-            else cfg.max_accesses
-        budget = rng.randint(min(cfg.min_accesses, ceiling), ceiling)
+        ceiling = MAX_ACCESSES_THREE_THREADS if three else MAX_ACCESSES
+        budget = rng.randint(MIN_ACCESSES, ceiling)
         threads: List[List[Stmt]] = [[] for _ in range(n_threads)]
-        if rng.random() < cfg.racy_skeleton_prob:
+        if rng.random() < RACY_SKELETON_PROB:
             budget -= self._plant_skeleton(rng, global_vars, threads)
         # Every thread gets at least one access — budget permitting: a
         # planted skeleton may already have spent the whole allowance,
@@ -363,7 +349,7 @@ class ProgramGenerator:
         """
         x, y = rng.sample(list(global_vars), 2)
         first, second = rng.sample(range(len(threads)), 2)
-        value = rng.randint(1, self.config.max_const)
+        value = rng.randint(1, MAX_CONST)
         if rng.random() < 0.5:
             # Store buffering: store own flag, read the other's.
             threads[first] += [StoreStmt(x, value), LoadStmt(0, y)]
@@ -385,7 +371,7 @@ class ProgramGenerator:
               budget: int) -> List[Stmt]:
         """Draw statements until the access budget (or length cap) runs out."""
         body: List[Stmt] = []
-        while budget > 0 and len(body) < self.config.max_stmts_per_body:
+        while budget > 0 and len(body) < MAX_STMTS_PER_BODY:
             stmt = self._stmt(rng, global_vars, budget)
             body.append(stmt)
             budget -= _access_cost(stmt)
@@ -393,22 +379,21 @@ class ProgramGenerator:
 
     def _stmt(self, rng: random.Random, global_vars: Sequence[str],
               budget: int) -> Stmt:
-        cfg = self.config
         kind = self._pick_kind(rng, budget)
         var = rng.choice(global_vars)
         if kind == "store":
-            return StoreStmt(var, rng.randint(1, cfg.max_const))
+            return StoreStmt(var, rng.randint(1, MAX_CONST))
         if kind == "load":
             return LoadStmt(rng.randrange(REGS_PER_THREAD), var)
         if kind == "cas":
             expected = rng.randint(0, 1)
-            return CasStmt(var, expected, rng.randint(1, cfg.max_const))
+            return CasStmt(var, expected, rng.randint(1, MAX_CONST))
         if kind == "fence":
             return FenceStmt(rng.choice(("full", "ss", "sl")))
         if kind == "if":
             # Condition costs 1 access; the body spends the rest.
             body = self._flat_body(rng, global_vars, budget - 1)
-            return IfStmt(var, rng.randint(0, cfg.max_const), body)
+            return IfStmt(var, rng.randint(0, MAX_CONST), body)
         count = rng.randint(2, 3)
         body = self._flat_body(rng, global_vars, budget // count)
         return LoopStmt(count, body)
@@ -422,8 +407,7 @@ class ProgramGenerator:
             kind = rng.choice(("store", "load", "fence"))
             var = rng.choice(global_vars)
             if kind == "store":
-                body.append(StoreStmt(var, rng.randint(1,
-                                                       self.config.max_const)))
+                body.append(StoreStmt(var, rng.randint(1, MAX_CONST)))
             elif kind == "load":
                 body.append(LoadStmt(rng.randrange(REGS_PER_THREAD), var))
             else:
@@ -432,7 +416,7 @@ class ProgramGenerator:
 
     def _pick_kind(self, rng: random.Random, budget: int) -> str:
         weights: List[Tuple[str, float]] = [
-            (kind, weight) for kind, weight in self.config.weights
+            (kind, weight) for kind, weight in KIND_WEIGHTS
             # Compound statements need headroom: an if costs 1 + body,
             # a loop multiplies its body by the trip count.
             if not (budget < 3 and kind in ("if", "loop"))]

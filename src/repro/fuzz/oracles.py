@@ -55,6 +55,17 @@ ModelFactory = Callable[[str], StoreBufferModel]
 #: independent draw.
 SYNTH_SEED_STRIDE = 1 << 25
 
+#: Flush probability of the random-subset oracle's scheduler runs.
+RANDOM_FLUSH_PROB = 0.3
+
+#: Flush probability of a model's first synthesis attempt.
+SYNTH_FLUSH_PROB = {"tso": 0.15, "pso": 0.4}
+
+#: Flush probabilities of the retry attempts, in turn.  Which schedules
+#: expose a reorder depends heavily on how long stores linger in the
+#: buffer, so retries sweep the flush rate instead of just sampling more.
+SYNTH_FLUSH_SCHEDULE = (0.2, 0.5, 0.1)
+
 
 def fully_fenced(module: Module) -> Module:
     """Clone *module* with a full fence after every store.
@@ -127,15 +138,10 @@ class OracleConfig:
                  max_total_paths: int = 250_000,
                  max_steps: int = 4_000,
                  random_runs: int = 40,
-                 random_flush_prob: float = 0.3,
                  synth_executions: int = 150,
                  synth_rounds: int = 10,
                  synth_attempts: int = 3,
-                 synth_seed: int = 0,
-                 synth_flush_prob: Optional[Dict[str, float]] = None,
-                 synth_flush_schedule: Tuple[float, ...] = (0.2, 0.5, 0.1),
-                 model_factory: ModelFactory = make_model,
-                 reduction: str = "sleep+cache") -> None:
+                 model_factory: ModelFactory = make_model) -> None:
         for model in models:
             if model == "sc":
                 raise ValueError("models lists relaxed models; SC is "
@@ -149,23 +155,10 @@ class OracleConfig:
         self.max_total_paths = max_total_paths
         self.max_steps = max_steps
         self.random_runs = random_runs
-        self.random_flush_prob = random_flush_prob
         self.synth_executions = synth_executions
         self.synth_rounds = synth_rounds
         self.synth_attempts = synth_attempts
-        self.synth_seed = synth_seed
-        self.synth_flush_prob = dict(synth_flush_prob or
-                                     {"tso": 0.15, "pso": 0.4})
-        #: Flush probabilities for retry attempts (attempt 0 uses the
-        #: per-model default above).  Which schedules expose a reorder
-        #: depends heavily on how long stores linger in the buffer, so
-        #: retries sweep the flush rate instead of just sampling more.
-        self.synth_flush_schedule = tuple(synth_flush_schedule)
         self.model_factory = model_factory
-        #: Partial-order-reduction level for every exploration (see
-        #: :data:`repro.sched.explorer.REDUCTIONS`).  All levels yield
-        #: identical outcome sets; "none" mirrors the replay baseline.
-        self.reduction = reduction
 
 
 class OracleReport:
@@ -269,7 +262,7 @@ class _Checker:
             module, model, outcome_fn=thread_results,
             max_paths=budget, max_steps=cfg.max_steps,
             model_factory=functools.partial(cfg.model_factory, model),
-            reduction=cfg.reduction, recorder=self.recorder)
+            recorder=self.recorder)
         self.report.paths += result.paths
         if result.stats is not None:
             self.report.pruned += result.stats.pruned
@@ -330,7 +323,7 @@ class _Checker:
                 continue
             for run in range(cfg.random_runs):
                 scheduler = FlushDelayScheduler(
-                    seed=run, flush_prob=cfg.random_flush_prob)
+                    seed=run, flush_prob=RANDOM_FLUSH_PROB)
                 result = run_execution(
                     module, cfg.model_factory(model), scheduler,
                     collect_predicates=False)
@@ -381,7 +374,7 @@ class _Checker:
                 flush_prob=self._attempt_flush_prob(model, attempt),
                 executions_per_round=cfg.synth_executions * (2 ** attempt),
                 max_rounds=cfg.synth_rounds,
-                seed=cfg.synth_seed + attempt * SYNTH_SEED_STRIDE))
+                seed=attempt * SYNTH_SEED_STRIDE))
             result = engine.synthesize(current, spec)
             current = result.program
             observed_last = result.total_violations > 0
@@ -412,7 +405,6 @@ class _Checker:
 
     def _attempt_flush_prob(self, model: str, attempt: int) -> float:
         """Per-model default first, then sweep the retry schedule."""
-        if attempt == 0 or not self.cfg.synth_flush_schedule:
-            return self.cfg.synth_flush_prob.get(model, 0.3)
-        schedule = self.cfg.synth_flush_schedule
-        return schedule[(attempt - 1) % len(schedule)]
+        if attempt == 0:
+            return SYNTH_FLUSH_PROB.get(model, 0.3)
+        return SYNTH_FLUSH_SCHEDULE[(attempt - 1) % len(SYNTH_FLUSH_SCHEDULE)]

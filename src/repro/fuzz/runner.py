@@ -14,7 +14,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.recorder import NULL_RECORDER
-from .generator import FuzzProgram, GeneratorConfig, ProgramGenerator
+from .generator import FuzzProgram, ProgramGenerator
 from .oracles import OracleConfig, OracleFailure, check_program
 from .shrink import shrink
 
@@ -98,7 +98,6 @@ class FuzzReport:
 
 def run_campaign(seed: int = 0, iters: int = 50,
                  oracle_config: Optional[OracleConfig] = None,
-                 generator_config: Optional[GeneratorConfig] = None,
                  corpus_dir: Optional[str] = None,
                  shrink_failures: bool = True,
                  progress: Optional[ProgressFn] = None,
@@ -113,7 +112,7 @@ def run_campaign(seed: int = 0, iters: int = 50,
     are not recorded.
     """
     oracle_cfg = oracle_config or OracleConfig()
-    generator = ProgramGenerator(generator_config)
+    generator = ProgramGenerator()
     report = FuzzReport(seed, iters)
     start = time.perf_counter()
 

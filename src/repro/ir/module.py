@@ -95,10 +95,6 @@ class Module:
                 return fn, fn.instr_at(label)
         raise KeyError("no instruction with label L%d" % label)
 
-    def function_of_label(self, label: int) -> Function:
-        fn, _ = self.find_instr(label)
-        return fn
-
     # ------------------------------------------------------------------
     # Cloning
 

@@ -55,12 +55,11 @@ class LitmusTest:
     def compile(self):
         return compile_source(self.source, "litmus_" + self.name)
 
-    def explore(self, model: str, max_paths: int = 60_000,
-                reduction: str = "sleep+cache"):
+    def explore(self, model: str, max_paths: int = 60_000):
         """Exhaustively enumerate this test's outcomes under *model*."""
         from .sched.explorer import explore
         return explore(self.compile(), model, outcome_fn=thread_results,
-                       max_paths=max_paths, reduction=reduction)
+                       max_paths=max_paths)
 
     def models_allowing_relaxation(self):
         return sorted(model for model, outcomes in self.expected.items()

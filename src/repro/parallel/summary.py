@@ -3,10 +3,11 @@
 Worker processes cannot (cheaply) ship live VM objects back to the
 engine, so each execution is condensed into an :class:`ExecutionSummary`:
 plain tuples and strings only, small enough that a round of hundreds of
-executions costs little IPC.  The summary carries everything the merge
-step needs — status, the spec verdict, the ``avoid(p)`` predicate tuples,
-the operation history events, and the (entry, seed) pair that makes the
-execution reproducible as a :class:`~repro.sched.replay.Witness`.
+executions costs little IPC.  The summary carries what the merge step
+and the Recorder read — status, the spec verdict (checked in the worker,
+so the history never travels), the ``avoid(p)`` predicate tuples, the
+metric counters, and the (entry, seed) pair that makes the execution
+reproducible as a :class:`~repro.sched.replay.Witness`.
 """
 
 from __future__ import annotations
@@ -16,14 +17,9 @@ from typing import List, Optional, Tuple
 from ..ir.instructions import FenceKind
 from ..memory.predicates import OrderingPredicate
 from ..vm.driver import ExecutionResult, ExecutionStatus
-from ..vm.events import History
 
 #: ``(store_label, access_label, fence_kind_value)``
 PredicateTuple = Tuple[int, int, str]
-
-#: ``(tid, name, args, result, call_seq, ret_seq)``
-OperationTuple = Tuple[int, str, Tuple[int, ...], Optional[int],
-                       int, Optional[int]]
 
 _UNUSABLE = (ExecutionStatus.TIMEOUT.value, ExecutionStatus.DEADLOCK.value)
 
@@ -46,18 +42,15 @@ class ExecutionSummary:
     equality and never feeds the deterministic metric aggregates.
     """
 
-    __slots__ = ("index", "entry", "seed", "status", "error", "steps",
-                 "predicates", "operations", "violation", "metrics",
-                 "worker")
+    __slots__ = ("index", "entry", "seed", "status", "steps",
+                 "predicates", "violation", "metrics", "worker")
 
     #: Slots compared by ``__eq__`` — everything except ``worker``.
-    _PAYLOAD_SLOTS = ("index", "entry", "seed", "status", "error", "steps",
-                      "predicates", "operations", "violation", "metrics")
+    _PAYLOAD_SLOTS = ("index", "entry", "seed", "status", "steps",
+                      "predicates", "violation", "metrics")
 
     def __init__(self, index: int, entry: str, seed: int, status: str,
-                 error: Optional[str], steps: int,
-                 predicates: Tuple[PredicateTuple, ...],
-                 operations: Tuple[OperationTuple, ...],
+                 steps: int, predicates: Tuple[PredicateTuple, ...],
                  violation: Optional[str],
                  metrics: MetricsTuple = (0, 0),
                  worker: Optional[str] = None) -> None:
@@ -65,10 +58,8 @@ class ExecutionSummary:
         self.entry = entry
         self.seed = seed
         self.status = status            # ExecutionStatus value string
-        self.error = error
         self.steps = steps
         self.predicates = predicates
-        self.operations = operations
         self.violation = violation      # spec.check message, None if OK
         self.metrics = metrics
         self.worker = worker
@@ -77,9 +68,9 @@ class ExecutionSummary:
 
     def __reduce__(self):
         return (ExecutionSummary,
-                (self.index, self.entry, self.seed, self.status, self.error,
-                 self.steps, self.predicates, self.operations,
-                 self.violation, self.metrics, self.worker))
+                (self.index, self.entry, self.seed, self.status,
+                 self.steps, self.predicates, self.violation, self.metrics,
+                 self.worker))
 
     # -- derived views -------------------------------------------------
 
@@ -92,15 +83,6 @@ class ExecutionSummary:
         """Rebuild the ``avoid(p)`` disjunction, in recorded order."""
         return [OrderingPredicate(l, k, FenceKind(kind))
                 for (l, k, kind) in self.predicates]
-
-    def history(self) -> History:
-        """Rebuild the operation history (debugging / reporting)."""
-        history = History()
-        for (tid, name, args, result, call_seq, ret_seq) in self.operations:
-            op = history.begin(tid, name, args, call_seq)
-            op.result = result
-            op.ret_seq = ret_seq
-        return history
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExecutionSummary):
@@ -124,12 +106,8 @@ def summarize_execution(index: int, entry: str, seed: int,
     """Flatten one :class:`ExecutionResult` into a summary record."""
     predicates = tuple((p.store_label, p.access_label, p.kind.value)
                        for p in result.predicates)
-    operations = tuple((op.tid, op.name, op.args, op.result,
-                        op.call_seq, op.ret_seq)
-                       for op in result.history)
     return ExecutionSummary(index, entry, seed, result.status.value,
-                            result.error, result.steps, predicates,
-                            operations, violation,
+                            result.steps, predicates, violation,
                             metrics=(result.flushes,
                                      result.max_buffer_depth),
                             worker=worker)

@@ -86,14 +86,15 @@ A result with a cache-closed cycle is not ``exact`` either.
 from __future__ import annotations
 
 import pickle
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (Callable, Dict, FrozenSet, List, Optional, Set, Tuple,
+                    Union)
 
 from ..ir import instructions as ins
 from ..ir.module import Module
 from ..memory.models import StoreBufferModel, make_model
 from ..obs.recorder import NULL_RECORDER
 from ..vm.compile import make_vm
+from ..vm.driver import thread_results
 from ..vm.errors import SpecViolationError, StepLimitExceeded
 from ..vm.interp import (LOCAL_OPS_ASSERT, LOCAL_OPS_CALL, LOCAL_OPS_STORE,
                          VM, VMSnapshot)
@@ -699,16 +700,8 @@ def _snapshot_size(snap: VMSnapshot) -> int:
 # ----------------------------------------------------------------------
 # Entry points
 
-def _make_outcome_fn(outcome_globals: Sequence[str]) -> OutcomeFn:
-    def outcome_fn(vm: VM) -> Tuple:
-        return tuple(vm.memory.read(vm.memory.global_addr[g])
-                     for g in outcome_globals)
-    return outcome_fn
-
-
 def explore(module: Module, model_name: str = "sc", entry: str = "main",
-            outcome_globals: Sequence[str] = (),
-            outcome_fn: Optional[OutcomeFn] = None,
+            outcome_fn: OutcomeFn = thread_results,
             max_paths: int = 20_000,
             max_steps: int = 2_000,
             model_factory: Optional[ModelFactory] = None,
@@ -716,9 +709,10 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
             recorder=NULL_RECORDER) -> ExplorationResult:
     """Enumerate schedules of *module* under *model_name*.
 
-    Outcomes are tuples of the named globals' final values (or whatever
-    ``outcome_fn`` extracts).  Paths that crash with a spec violation are
-    collected separately in ``violations``.  ``reduction="none"`` visits
+    Outcomes are whatever ``outcome_fn`` extracts from each finished VM
+    (default: every thread's return value in tid order).  Paths that
+    crash with a spec violation are collected separately in
+    ``violations``.  ``reduction="none"`` visits
     the replay reference's tree (identical ``paths`` count) one VM step
     per edge.  The result carries an :class:`ExploreStats` in ``.stats``.
 
@@ -739,8 +733,6 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
     if model_factory is None:
         def model_factory():
             return make_model(model_name)
-    if outcome_fn is None:
-        outcome_fn = _make_outcome_fn(outcome_globals)
     vm = make_vm(module, model_factory(), entry=entry, max_steps=max_steps)
     cache = {} if reduction == "sleep+cache" else None
     search = _Search(vm, outcome_fn, max_paths, reduction != "none",

@@ -103,11 +103,7 @@ class GarbageFreeSpec(Specification):
 
     name = "garbage_free"
 
-    def __init__(self, put_op: str = "put",
-                 get_ops=("take", "steal"),
-                 multiplicity: Optional[int] = 1) -> None:
-        self.put_op = put_op
-        self.get_ops = frozenset(get_ops)
+    def __init__(self, multiplicity: Optional[int] = 1) -> None:
         self.multiplicity = multiplicity
 
     def check(self, result: ExecutionResult) -> Optional[str]:
@@ -115,10 +111,10 @@ class GarbageFreeSpec(Specification):
         if crash is not None:
             return crash
         ops = result.history.complete_ops()
-        puts = [op for op in ops if op.name == self.put_op]
+        puts = [op for op in ops if op.name == "put"]
         returned = Counter()
         for op in sorted(ops, key=lambda o: o.ret_seq):
-            if op.name not in self.get_ops or op.result == EMPTY:
+            if op.name not in ("take", "steal") or op.result == EMPTY:
                 continue
             value = op.result
             eligible = sum(1 for put in puts

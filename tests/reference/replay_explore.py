@@ -23,6 +23,7 @@ from repro.ir.module import Module
 from repro.memory.models import make_model
 from repro.sched.explorer import ExplorationResult, ModelFactory, OutcomeFn
 from repro.vm.compile import make_vm
+from repro.vm.driver import thread_results
 from repro.vm.errors import SpecViolationError, StepLimitExceeded
 from repro.vm.interp import LOCAL_OPS_ASSERT, VM
 
@@ -101,8 +102,7 @@ def _run_with_prefix(module: Module, model_factory: ModelFactory,
 
 
 def explore(module: Module, model_name: str = "sc", entry: str = "main",
-            outcome_globals: Sequence[str] = (),
-            outcome_fn: Optional[OutcomeFn] = None,
+            outcome_fn: OutcomeFn = thread_results,
             max_paths: int = 20_000,
             max_steps: int = 2_000,
             model_factory: Optional[ModelFactory] = None
@@ -115,10 +115,6 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
     if model_factory is None:
         def model_factory():
             return make_model(model_name)
-    if outcome_fn is None:
-        def outcome_fn(vm: VM) -> Tuple:
-            return tuple(vm.memory.read(vm.memory.global_addr[g])
-                         for g in outcome_globals)
 
     outcomes: Set[Tuple] = set()
     violations: Set[str] = set()

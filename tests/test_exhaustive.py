@@ -70,9 +70,18 @@ int main() {
 """
 
 
+def global_values(names):
+    """Outcome = the named globals' final values."""
+    def outcome_fn(vm):
+        return tuple(vm.memory.read(vm.memory.global_addr[g])
+                     for g in names)
+    return outcome_fn
+
+
 def outcomes(source, globals_, model, **kw):
     module = compile_source(source)
-    result = explore(module, model, outcome_globals=globals_, **kw)
+    result = explore(module, model, outcome_fn=global_values(globals_),
+                     **kw)
     assert result.complete, "path budget too small for an exact answer"
     return result.outcomes
 
@@ -148,7 +157,7 @@ class TestExplorerMechanics:
         }
         """
         module = compile_source(src)
-        result = explore(module, "sc", outcome_globals=("X",))
+        result = explore(module, "sc", outcome_fn=global_values(("X",)))
         assert result.violations  # some schedule fails the assert
         assert result.outcomes    # and some schedule passes
 

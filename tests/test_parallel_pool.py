@@ -39,13 +39,6 @@ int main() {
 }
 """
 
-HISTORY = """
-int R;
-int read() { return R; }
-void write(int v) { R = v; }
-int main() { write(7); read(); return 0; }
-"""
-
 
 def make_jobs(n, entry="main", base_seed=0):
     return [(i, entry, base_seed + i) for i in range(n)]
@@ -70,12 +63,11 @@ class RaisingSpec(MemorySafetySpec):
 
 
 class TestExecutionSummary:
-    def run_one(self, src=MP, seed=2, operations=()):
-        module = compile_source(src)
+    def run_one(self, seed=2):
+        module = compile_source(MP)
         result = run_execution(module, make_model("pso"),
                                FlushDelayScheduler(seed=seed,
-                                                   flush_prob=0.3),
-                               operations=operations)
+                                                   flush_prob=0.3))
         violation = MemorySafetySpec().check(result) if result.usable \
             else None
         return summarize_execution(5, "main", seed, result, violation)
@@ -95,13 +87,6 @@ class TestExecutionSummary:
         for pred, (l, k, kind) in zip(preds, summary.predicates):
             assert (pred.store_label, pred.access_label) == (l, k)
             assert pred.kind.value == kind
-
-    def test_history_reconstruction(self):
-        summary = self.run_one(src=HISTORY, operations=("read", "write"))
-        history = summary.history()
-        names = [op.name for op in history]
-        assert names == ["write", "read"]
-        assert all(op.complete for op in history)
 
     def test_usable_flag(self):
         summary = self.run_one()
