@@ -303,10 +303,10 @@ def _explore(args) -> int:
               % (model.upper(), result.paths, status, outcomes))
         if stats is not None and stats.estimated_unreduced > stats.paths:
             print("     reduction: >=%d unreduced paths (%.1fx; "
-                  "%d slept, %d cache hits)"
+                  "%d slept, %d cache hits, %d persistent)"
                   % (stats.estimated_unreduced,
                      stats.estimated_unreduced / max(1, stats.paths),
-                     stats.pruned, stats.cache_hits))
+                     stats.pruned, stats.cache_hits, stats.persistent))
         for violation in sorted(result.violations):
             print("     violation: %s" % violation[:100])
     if truncated:

@@ -1,13 +1,14 @@
 """Control-flow graph construction over flat DIR instruction lists.
 
-Used by the redundant-fence merge pass (and available for general
-analyses).  Blocks are maximal straight-line instruction runs; edges follow
-branch targets and fallthrough.
+Used by the redundant-fence merge pass and by the explorer's static
+may-access tables (and available for general analyses).  Blocks are
+maximal straight-line instruction runs; edges follow branch targets and
+fallthrough.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .function import Function
 from .instructions import Br, Cbr, Ret
@@ -76,6 +77,40 @@ class CFG:
         for block in self.blocks:
             for succ in block.successors:
                 self.blocks[succ].predecessors.append(block.index)
+
+    def depth_first(self) -> Tuple[List[BasicBlock], List[Tuple[int, int]]]:
+        """One depth-first search over every block: the entry first, then
+        each block not reached yet, in index order.
+
+        Returns the blocks in post-order and the back edges, the
+        ``(block, successor)`` index pairs whose successor was still on
+        the search stack.  The CFG has a cycle (a loop, reachable or
+        not) iff there is a back edge; without one, every block comes
+        after all of its successors in the post-order.
+        """
+        blocks = self.blocks
+        state = [0] * len(blocks)  # 0 new, 1 on the stack, 2 finished
+        order: List[BasicBlock] = []
+        back: List[Tuple[int, int]] = []
+        for root in range(len(blocks)):
+            if state[root]:
+                continue
+            state[root] = 1
+            stack = [(root, iter(blocks[root].successors))]
+            while stack:
+                index, successors = stack[-1]
+                for succ in successors:
+                    if state[succ] == 0:
+                        state[succ] = 1
+                        stack.append((succ, iter(blocks[succ].successors)))
+                        break
+                    if state[succ] == 1:
+                        back.append((index, succ))
+                else:
+                    stack.pop()
+                    state[index] = 2
+                    order.append(blocks[index])
+        return order, back
 
     def entry(self) -> BasicBlock:
         return self.blocks[0]

@@ -199,6 +199,7 @@ class Recorder(NullRecorder):
         m.inc("explore/restores", stats.restores)
         m.inc("explore/step_limited", stats.step_limited)
         m.inc("explore/cycles", stats.cycles)
+        m.inc("explore/persistent", stats.persistent)
         if stats.snapshot_bytes > 0:
             m.observe("explore/snapshot_bytes", stats.snapshot_bytes)
 

@@ -12,7 +12,7 @@ re-executes the program from scratch for every path.  That replay DFS
 survives as the test-side reference oracle
 (``tests/reference/replay_explore.py``).
 
-On top of the incremental walk it layers two sound reductions:
+On top of the incremental walk it layers three sound reductions:
 
 * **Sleep sets** (Godefroid).  After a branch ``c`` is fully explored at a
   node, every sibling subtree carries ``c`` in its *sleep set* for as long
@@ -56,6 +56,19 @@ On top of the incremental walk it layers two sound reductions:
   on such a state closes a cycle (a loop whose state repeats): the
   continuations past it are never explored, so such a hit is counted in
   ``ExploreStats.cycles`` and the result is not ``exact``.
+* **Static persistent singletons** (Godefroid, LNCS 1032, ch. 4).  At
+  both sleep levels, before the sleep-set and cache logic, a decision
+  point is cut to one option when that option is a persistent set on
+  its own: a load of ``a`` that no other live thread's remaining code
+  may write, or an SC store or a flush of ``a`` that no such code may
+  read or write, with ``a`` in no other thread's buffer.  Remaining
+  code comes from static may-access tables (:func:`_access_tables`),
+  built only for a module with no loop and no recursion.  Its state
+  graph is acyclic, so no cycle proviso is needed; every other module
+  keeps the search it had without the rule.  ``ExploreStats.persistent``
+  counts the options dropped.  Sleep sets and the cache no longer
+  visit every reachable state once decision points are cut, but they
+  still reach every outcome and violation.
 
 ``reduction`` selects the level: ``"none"`` (exact mirror of the replay
 tree, for differential validation), ``"sleep"``, or ``"sleep+cache"``
@@ -90,7 +103,9 @@ from typing import (Callable, Dict, FrozenSet, List, Optional, Set, Tuple,
                     Union)
 
 from ..ir import instructions as ins
+from ..ir.cfg import CFG
 from ..ir.module import Module
+from ..ir.operands import Const, Sym
 from ..memory.models import StoreBufferModel, make_model
 from ..obs.recorder import NULL_RECORDER
 from ..vm.compile import make_vm
@@ -183,7 +198,7 @@ class ExploreStats:
 
     __slots__ = ("paths", "pruned", "cache_hits", "cache_states",
                  "snapshots", "restores", "snapshot_bytes", "step_limited",
-                 "cycles")
+                 "cycles", "persistent")
 
     def __init__(self) -> None:
         self.paths = 0            # leaves reached (terminal/violation/limit)
@@ -195,12 +210,14 @@ class ExploreStats:
         self.snapshot_bytes = 0   # pickled execution state of 1st snapshot
         self.step_limited = 0     # leaves cut by StepLimitExceeded (in paths)
         self.cycles = 0           # cache hits on a state on the DFS stack
+        self.persistent = 0       # options dropped by persistent singletons
 
     @property
     def estimated_unreduced(self) -> int:
         """Lower bound on the replay-baseline path count: every pruned
-        branch and cache hit stands for at least one whole subtree."""
-        return self.paths + self.pruned + self.cache_hits
+        branch, cache hit and option a persistent singleton dropped
+        stands for at least one whole subtree."""
+        return self.paths + self.pruned + self.cache_hits + self.persistent
 
     def as_dict(self) -> dict:
         return {
@@ -213,13 +230,15 @@ class ExploreStats:
             "snapshot_bytes": self.snapshot_bytes,
             "step_limited": self.step_limited,
             "cycles": self.cycles,
+            "persistent": self.persistent,
             "estimated_unreduced": self.estimated_unreduced,
         }
 
     def __repr__(self) -> str:
         return ("<ExploreStats paths=%d pruned=%d cache_hits=%d "
-                "snapshots=%d>" % (self.paths, self.pruned,
-                                   self.cache_hits, self.snapshots))
+                "persistent=%d snapshots=%d>"
+                % (self.paths, self.pruned, self.cache_hits,
+                   self.persistent, self.snapshots))
 
 
 def _advance_local(vm: VM, local: frozenset) -> List[int]:
@@ -247,7 +266,8 @@ def _advance_local(vm: VM, local: frozenset) -> List[int]:
     a thread waiting to join it, whose next instruction is that join,
     which is never local.  Only a burst that used its whole budget may
     have more to run, and then the sweep repeats.  Every thread that ran
-    clears its cached state-key component and step option.  A thread
+    clears its cached state-key component, step option and remaining-code
+    access sets.  A thread
     whose step option is cached has not run since :func:`_options` saw
     it at a non-local op, so it is skipped.
 
@@ -265,7 +285,7 @@ def _advance_local(vm: VM, local: frozenset) -> List[int]:
             if executed:
                 # The thread the VM owns now: run_local may have cloned it.
                 thread = threads[tid]
-                thread.key = thread.step_option = None
+                thread.key = thread.step_option = thread.access = None
                 if executed == _LOCAL_BURST:
                     again = True
     return vm.enabled_tids()
@@ -417,6 +437,164 @@ def _flush_options(model: StoreBufferModel) -> Tuple[Option, ...]:
 
 
 # ----------------------------------------------------------------------
+# Static persistent singletons
+
+#: The may-access wildcard: an access through a register, a page
+#: allocation or a page free may touch any address.
+_ANY = "*"
+
+#: What some code may access: ``(writes, touches)``, frozensets of
+#: addresses (and possibly :data:`_ANY`); ``touches`` is reads and
+#: writes together.
+Access = Tuple[FrozenSet, FrozenSet]
+
+_NO_ACCESS: Access = (frozenset(), frozenset())
+_ANY_ACCESS: Access = (frozenset((_ANY,)), frozenset((_ANY,)))
+
+#: Static may-access tables: function name -> one :data:`Access` per
+#: ``ip``, covering the code reachable from that ``ip`` through
+#: branches, calls and forks.
+AccessTables = Dict[str, List[Access]]
+
+
+def _union(a: Access, b: Access) -> Access:
+    """*a* and *b* together, reusing either one that covers the other:
+    most instructions add nothing to what follows them, so the tables
+    share one pair across a run of them."""
+    if b[1] <= a[1] and b[0] <= a[0]:
+        return a
+    if a[1] <= b[1] and a[0] <= b[0]:
+        return b
+    return (a[0] | b[0], a[1] | b[1])
+
+
+def _access_tables(vm: VM) -> Optional[AccessTables]:
+    """The may-access tables of *vm*'s module, or None when the rule
+    must not fire: some function has a CFG back edge, or the call/fork
+    graph has a cycle (or names a missing function).
+
+    A load reads its address, a store writes it and a CAS does both; an
+    address in a register, ``pagealloc`` and ``pagefree`` count as
+    every address (:data:`_ANY`).  Fences and joins add nothing: their
+    drains act as flushes of buffers the rule checks directly.  Built
+    once per explored module, callees first, each function's blocks in
+    post-order, so every successor's entry is ready when it is needed.
+    """
+    functions = vm.module.functions
+    global_addr = vm.memory.global_addr
+    tables: AccessTables = {}
+    on_path: Set[str] = set()
+
+    def address(operand) -> Union[int, str]:
+        if operand.__class__ is Sym:
+            return global_addr[operand.name]
+        if operand.__class__ is Const:
+            return operand.value
+        return _ANY
+
+    def build(name: str) -> bool:
+        if name in tables:
+            return True
+        fn = functions.get(name)
+        if fn is None or name in on_path:
+            return False  # a missing function, or recursion
+        cfg = CFG(fn)
+        order, back_edges = cfg.depth_first()
+        if back_edges:
+            return False  # a loop
+        on_path.add(name)
+        body = fn.body
+        own: List[Access] = []
+        for instr in body:
+            cls = instr.__class__
+            if cls is ins.Load:
+                cell = frozenset((address(instr.addr),))
+                own.append((_EMPTY, cell))
+            elif cls is ins.Store or cls is ins.Cas:
+                cell = frozenset((address(instr.addr),))
+                own.append((cell, cell))
+            elif cls is ins.PageAlloc or cls is ins.PageFree:
+                own.append(_ANY_ACCESS)
+            elif cls is ins.Call or cls is ins.Fork:
+                if not build(instr.fn):
+                    return False
+                callee = tables[instr.fn]
+                own.append(callee[0] if callee else _NO_ACCESS)
+            else:
+                own.append(_NO_ACCESS)
+        on_path.discard(name)
+        table: List[Access] = [_NO_ACCESS] * len(body)
+        for block in order:
+            after = _NO_ACCESS
+            for succ in block.successors:
+                after = _union(after, table[cfg.blocks[succ].start])
+            for ip in range(block.end - 1, block.start - 1, -1):
+                after = table[ip] = _union(after, own[ip])
+        tables[name] = table
+        return True
+
+    for name in functions:
+        if not build(name):
+            return None
+    return tables
+
+
+def _thread_access(thread: Thread, tables: AccessTables) -> Access:
+    """What *thread*'s remaining code may access: the union, over its
+    frames, of the tables' entry at each frame's ``ip``.  Cached in
+    ``Thread.access`` and cleared with ``Thread.step_option``."""
+    access = thread.access
+    if access is None:
+        access = _NO_ACCESS
+        for frame in thread.frames:
+            access = _union(access, tables[frame.fn.name][frame.ip])
+        thread.access = access
+    return access
+
+
+def _persistent_singleton(vm: VM, options: List[Option],
+                          tables: AccessTables) -> Optional[Option]:
+    """The first of *options* that is a persistent set on its own, or
+    None (DESIGN, "Static persistent singletons").
+
+    A candidate is a load of address ``a`` by thread ``t``, a store to
+    ``a`` by ``t`` (a branch option under SC only) or the flush of ``a``
+    from ``t``'s buffer.  It qualifies when no other unfinished
+    thread's remaining code may write ``a`` (for a load) or touch it
+    (for a store or a flush), and no other thread's buffer holds ``a``;
+    ``t``'s own buffer is exempt, since a thread's load commutes with
+    its own flush through store forwarding.
+    """
+    threads = vm.threads
+    model = vm.model
+    for option in options:
+        ident, fp = option[1], option[2]
+        tid = ident[1]
+        if ident[0] == "flush":
+            addr, load = ident[2], False
+        else:
+            frame = threads[tid].frames[-1]
+            cls = frame.fn.body[frame.ip].__class__
+            if cls is ins.Load:
+                (addr,), load = fp[1], True
+            elif cls is ins.Store:
+                (addr,), load = fp[2], False
+            else:
+                continue
+        for other in threads.values():
+            if other.tid == tid or other.finished:
+                continue
+            cells = _thread_access(other, tables)[0 if load else 1]
+            if addr in cells or _ANY in cells:
+                break
+        else:
+            if not any(other != tid and addr in model.pending_addrs(other)
+                       for other in model.pending_tids()):
+                return option
+    return None
+
+
+# ----------------------------------------------------------------------
 # State canonicalisation (dedup cache)
 
 def _state_key(vm: VM, thread_ids: Dict[Tuple, int]) -> Tuple:
@@ -525,6 +703,12 @@ class _Search:
             self.local = LOCAL_OPS_CALL
         else:
             self.local = LOCAL_OPS_STORE
+        #: The static may-access tables, or None where persistent
+        #: singletons must not fire: at ``none``, for a VM that records
+        #: operations (as for the eager set above) and for a module with
+        #: a loop or recursion (:func:`_access_tables`).
+        self.tables = (_access_tables(vm) if use_sleep and not vm.operations
+                       else None)
         self.cache = cache
         self.stats = stats
         self.outcomes = outcomes
@@ -601,7 +785,7 @@ class _Search:
                 # thread before the step may be shared with a snapshot,
                 # whose cached values must survive.
                 thread = vm.threads[tid]
-                thread.key = thread.step_option = None
+                thread.key = thread.step_option = thread.access = None
             else:
                 vm.flush_one(choice[1], choice[2])
             return _advance_local(vm, self.local)
@@ -628,6 +812,11 @@ class _Search:
             self.outcomes.add(self.outcome_fn(vm))
             stats.paths += 1
             return
+        if self.tables is not None and len(options) > 1:
+            single = _persistent_singleton(vm, options, self.tables)
+            if single is not None:
+                stats.persistent += len(options) - 1
+                options = [single]
         if sleep:
             branch = [o for o in options if o[1] not in sleep]
             stats.pruned += len(options) - len(branch)

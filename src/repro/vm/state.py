@@ -71,15 +71,19 @@ class Thread:
     component is a small int: the id the current search interned the
     thread's full state tuple as
     (``repro.sched.explorer._state_key``), meaningful only inside that
-    search, whose VM and threads are its own.  Both depend only on this
-    thread's own state, so filling them in on a shared thread is safe.
+    search, whose VM and threads are its own.  ``access`` caches what
+    the thread's remaining code may write and touch, read off the
+    search's static may-access tables for its frames
+    (``repro.sched.explorer._thread_access``).  All three depend only
+    on this thread's own state, so filling them in on a shared thread
+    is safe.
     The VM never reads or clears them; the explorer clears them on the
     thread the VM owns after running it, and clones carry them along
     with the state they describe.
     """
 
     __slots__ = ("tid", "frames", "status", "join_target", "result",
-                 "key", "step_option", "epoch")
+                 "key", "step_option", "access", "epoch")
 
     def __init__(self, tid: int, epoch: int) -> None:
         self.tid = tid
@@ -89,6 +93,7 @@ class Thread:
         self.result: Optional[int] = None
         self.key: Optional[int] = None
         self.step_option: Optional[tuple] = None
+        self.access: Optional[tuple] = None
         self.epoch = epoch
 
     def clone(self, epoch: int) -> "Thread":
@@ -102,6 +107,7 @@ class Thread:
         thread.result = self.result
         thread.key = self.key
         thread.step_option = self.step_option
+        thread.access = self.access
         thread.epoch = epoch
         return thread
 

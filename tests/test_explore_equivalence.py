@@ -16,7 +16,8 @@ pinned ``sleep+cache`` counters (``test_explore_stats.py``), same states
 and each edge once (``test_cache_revisits.py``), and the eager stores,
 calls and returns and waiting joins of the sleep levels
 (``test_eager_stores.py``, ``test_eager_calls.py``,
-``test_lifecycle_footprints.py``).
+``test_lifecycle_footprints.py``), and the static persistent
+singletons (``test_persistent_sets.py``).
 
 Tier-1 runs every test here, on every supported Python.  The full sweep
 (whole litmus catalog, corpus reproducers, fresh fuzz programs per

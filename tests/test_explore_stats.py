@@ -14,13 +14,19 @@ Running calls and returns eagerly cut ``cache_states`` (sb4/tso
 2024 -> 565), ``cache_hits`` and ``pruned``, while ``paths`` rose
 (sb4/tso 17 -> 25, sb3 9 -> 13, sb 5 -> 6): leaves that used to end
 as cache hits just before a final return are now reached.  No
-outcome moved.  The cached state keys and step
-options must leave every cache and sleep-set decision as the uncached
-explorer makes it, so any drift in these numbers is a change of
-search; the replay sweep of ``test_explore_equivalence.py`` guards
-exactness, ``test_cache_revisits.py`` the visited states and edges,
-``test_lifecycle_footprints.py`` the joins and ``test_eager_calls.py``
-the eager calls and returns.
+outcome moved.  Static persistent singletons (a load, an SC store or
+a flush that no other thread's remaining code or buffer can race with
+is the only option taken at its decision point) then cut every pinned
+row but mp/sc: sb4/tso 565 -> 259 states and 25 -> 16 paths, one path
+per outcome, sb3/tso 118 -> 68 states and 13 -> 8 paths.  Again no
+outcome moved.  The cached state keys, step options and remaining-code
+access sets must leave every decision as the uncached explorer makes
+it, so any drift in these numbers is a change of search; the replay
+sweep of ``test_explore_equivalence.py`` guards exactness,
+``test_cache_revisits.py`` the visited states and edges,
+``test_lifecycle_footprints.py`` the joins, ``test_eager_calls.py``
+the eager calls and returns and ``test_persistent_sets.py`` the
+persistent singletons.
 """
 
 import json
@@ -38,19 +44,20 @@ from repro.sched.explorer import explore
 #: (program, model) -> (paths, pruned, cache_hits, cache_states) at the
 #: default ``sleep+cache`` reduction.
 PINNED = {
-    ("sb", "sc"): (3, 2, 0, 13),
-    ("sb", "tso"): (6, 19, 0, 23),
-    ("sb", "pso"): (6, 19, 0, 23),
+    ("sb", "sc"): (3, 1, 0, 13),
+    ("sb", "tso"): (4, 4, 0, 17),
+    ("sb", "pso"): (4, 4, 0, 17),
     ("mp", "sc"): (2, 1, 0, 8),
-    ("mp", "tso"): (2, 3, 0, 10),
-    ("mp", "pso"): (3, 9, 0, 14),
-    ("2+2w", "pso"): (4, 18, 56, 56),
-    ("sb3", "tso"): (13, 234, 13, 118),
-    ("sb3", "pso"): (13, 234, 13, 118),
-    # sb4 under tso/pso carries most of an explore-litmus perfbench pass.
-    ("sb4", "sc"): (15, 263, 18, 222),
-    ("sb4", "tso"): (25, 2125, 161, 565),
-    ("sb4", "pso"): (25, 2125, 161, 565),
+    ("mp", "tso"): (2, 1, 0, 9),
+    ("mp", "pso"): (3, 2, 0, 13),
+    ("2+2w", "pso"): (4, 10, 33, 53),
+    ("sb3", "tso"): (8, 37, 2, 68),
+    ("sb3", "pso"): (8, 37, 2, 68),
+    # sb4 under tso/pso carried most of an explore-litmus perfbench pass
+    # before the persistent singletons cut it to one path per outcome.
+    ("sb4", "sc"): (15, 49, 8, 157),
+    ("sb4", "tso"): (16, 227, 27, 259),
+    ("sb4", "pso"): (16, 227, 27, 259),
 }
 
 #: A spin loop that never ends.  The counter makes every iteration a new

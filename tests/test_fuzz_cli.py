@@ -71,7 +71,7 @@ def test_explore_reports_exact_paths(capsys):
 
 
 def test_explore_budget_exhaustion_is_loud(capsys):
-    rc = main(["--explore", "sb", "--max-paths", "5"])
+    rc = main(["--explore", "sb", "--max-paths", "2"])
     captured = capsys.readouterr()
     assert rc == 3
     assert "BUDGET EXHAUSTED" in captured.out
