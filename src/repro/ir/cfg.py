@@ -8,7 +8,7 @@ fallthrough.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional
 
 from .function import Function
 from .instructions import Br, Cbr, Ret
@@ -78,20 +78,15 @@ class CFG:
             for succ in block.successors:
                 self.blocks[succ].predecessors.append(block.index)
 
-    def depth_first(self) -> Tuple[List[BasicBlock], List[Tuple[int, int]]]:
-        """One depth-first search over every block: the entry first, then
-        each block not reached yet, in index order.
-
-        Returns the blocks in post-order and the back edges, the
-        ``(block, successor)`` index pairs whose successor was still on
-        the search stack.  The CFG has a cycle (a loop, reachable or
-        not) iff there is a back edge; without one, every block comes
-        after all of its successors in the post-order.
+    def acyclic_post_order(self) -> Optional[List[BasicBlock]]:
+        """The blocks in post-order of one depth-first search (the entry
+        first, then each block not reached yet, in index order), so that
+        every block comes after all of its successors; or None when the
+        CFG has a cycle (a loop, reachable or not).
         """
         blocks = self.blocks
         state = [0] * len(blocks)  # 0 new, 1 on the stack, 2 finished
         order: List[BasicBlock] = []
-        back: List[Tuple[int, int]] = []
         for root in range(len(blocks)):
             if state[root]:
                 continue
@@ -105,12 +100,12 @@ class CFG:
                         stack.append((succ, iter(blocks[succ].successors)))
                         break
                     if state[succ] == 1:
-                        back.append((index, succ))
+                        return None  # a back edge
                 else:
                     stack.pop()
                     state[index] = 2
                     order.append(blocks[index])
-        return order, back
+        return order
 
     def entry(self) -> BasicBlock:
         return self.blocks[0]

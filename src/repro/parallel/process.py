@@ -10,10 +10,6 @@ execution-index order (summary *i* is item ``i // n`` of share
 ``i % n``).  After a re-broadcast the next round pickles the snapshot
 once and sends the blob with every share.
 
-The parent compiles the broadcast module's functions before it forks,
-so the children inherit the compiled bodies; a child compiles only the
-functions of a snapshot re-broadcast after the fork.
-
 ``close()`` closes the pipes, which stops the children, and reaps them.
 A ``run()`` closed before its last summary (round decided,
 ``test_program`` early stop), and a child that dies or raises, SIGKILL
@@ -36,7 +32,6 @@ from ..ir.module import Module
 from ..memory.models import make_model
 from ..memory.predicates import PredicateSink
 from ..spec.specifications import Specification
-from ..vm.compile import code_for
 from ..vm.interp import DEFAULT_MAX_STEPS
 from .pool import ExecutionPool, Job
 from .serial import run_jobs
@@ -81,10 +76,6 @@ class ProcessPool(ExecutionPool):
     # -- lifecycle -----------------------------------------------------
 
     def _fork(self) -> None:
-        # Compile the broadcast module here, once: the children inherit
-        # the compiled bodies instead of each compiling them again.
-        for fn in self._snapshot[0].functions.values():
-            code_for(fn)
         for _ in range(self.workers):
             conn, child_conn = Pipe()
             pid = os.fork()

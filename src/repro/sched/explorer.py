@@ -61,9 +61,11 @@ On top of the incremental walk it layers three sound reductions:
   point is cut to one option when that option is a persistent set on
   its own: a load of ``a`` that no other live thread's remaining code
   may write, or an SC store or a flush of ``a`` that no such code may
-  read or write, with ``a`` in no other thread's buffer.  Remaining
-  code comes from static may-access tables (:func:`_access_tables`),
-  built only for a module with no loop and no recursion.  Its state
+  read or write, with ``a`` in no other thread's buffer (and, for a
+  flush, no page allocation or free left in its own thread's code).
+  Remaining code comes from static may-access tables
+  (:func:`_access_tables`), built only for a module with no loop and no
+  recursion.  Its state
   graph is acyclic, so no cycle proviso is needed; every other module
   keeps the search it had without the rule.  ``ExploreStats.persistent``
   counts the options dropped.  Sleep sets and the cache no longer
@@ -443,13 +445,19 @@ def _flush_options(model: StoreBufferModel) -> Tuple[Option, ...]:
 #: allocation or a page free may touch any address.
 _ANY = "*"
 
+#: Marks code that may allocate or free a page.  A flush does not
+#: commute with a page free of its own thread (a store flushed into a
+#: freed region violates), so unlike other accesses this one is not
+#: exempt for the flushing thread.
+_HEAP = "heap"
+
 #: What some code may access: ``(writes, touches)``, frozensets of
-#: addresses (and possibly :data:`_ANY`); ``touches`` is reads and
-#: writes together.
+#: addresses (and possibly :data:`_ANY` and :data:`_HEAP`); ``touches``
+#: is reads and writes together.
 Access = Tuple[FrozenSet, FrozenSet]
 
 _NO_ACCESS: Access = (frozenset(), frozenset())
-_ANY_ACCESS: Access = (frozenset((_ANY,)), frozenset((_ANY,)))
+_HEAP_ACCESS: Access = (frozenset((_ANY,)), frozenset((_ANY, _HEAP)))
 
 #: Static may-access tables: function name -> one :data:`Access` per
 #: ``ip``, covering the code reachable from that ``ip`` through
@@ -475,7 +483,8 @@ def _access_tables(vm: VM) -> Optional[AccessTables]:
 
     A load reads its address, a store writes it and a CAS does both; an
     address in a register, ``pagealloc`` and ``pagefree`` count as
-    every address (:data:`_ANY`).  Fences and joins add nothing: their
+    every address (:data:`_ANY`), and the last two also as
+    :data:`_HEAP`.  Fences and joins add nothing: their
     drains act as flushes of buffers the rule checks directly.  Built
     once per explored module, callees first, each function's blocks in
     post-order, so every successor's entry is ready when it is needed.
@@ -499,8 +508,8 @@ def _access_tables(vm: VM) -> Optional[AccessTables]:
         if fn is None or name in on_path:
             return False  # a missing function, or recursion
         cfg = CFG(fn)
-        order, back_edges = cfg.depth_first()
-        if back_edges:
+        order = cfg.acyclic_post_order()
+        if order is None:
             return False  # a loop
         on_path.add(name)
         body = fn.body
@@ -514,7 +523,7 @@ def _access_tables(vm: VM) -> Optional[AccessTables]:
                 cell = frozenset((address(instr.addr),))
                 own.append((cell, cell))
             elif cls is ins.PageAlloc or cls is ins.PageFree:
-                own.append(_ANY_ACCESS)
+                own.append(_HEAP_ACCESS)
             elif cls is ins.Call or cls is ins.Fork:
                 if not build(instr.fn):
                     return False
@@ -563,7 +572,8 @@ def _persistent_singleton(vm: VM, options: List[Option],
     thread's remaining code may write ``a`` (for a load) or touch it
     (for a store or a flush), and no other thread's buffer holds ``a``;
     ``t``'s own buffer is exempt, since a thread's load commutes with
-    its own flush through store forwarding.
+    its own flush through store forwarding.  A flush also fails when
+    ``t``'s own remaining code may allocate or free a page.
     """
     threads = vm.threads
     model = vm.model
@@ -571,6 +581,8 @@ def _persistent_singleton(vm: VM, options: List[Option],
         ident, fp = option[1], option[2]
         tid = ident[1]
         if ident[0] == "flush":
+            if _HEAP in _thread_access(threads[tid], tables)[1]:
+                continue
             addr, load = ident[2], False
         else:
             frame = threads[tid].frames[-1]

@@ -4,7 +4,8 @@ At the sleep levels, a decision point whose options include a load, an
 SC store or a flush of an address ``a`` that no other thread can race
 with is cut to that one option: no other unfinished thread's remaining
 code may write ``a`` (for a load) or touch it (for a store or a flush),
-and no other thread's buffer holds ``a``.  The remaining code comes
+and no other thread's buffer holds ``a``; a flush also needs its own
+thread to have no page allocation or free left.  The remaining code comes
 from static may-access tables, built per explored module only when the
 module has no loop and no recursion (DESIGN, "Static persistent
 singletons").
@@ -16,7 +17,8 @@ The tests below check that:
   rule, count for count, and so does every Table-2 module;
 * programs whose races the tables must see (a store through a pointer,
   a CAS through a pointer, a store still in another thread's buffer, a
-  ``pagefree``) keep the replay reference's outcomes and violations;
+  ``pagefree`` in another thread or behind the freeing thread's own
+  buffered store) keep the replay reference's outcomes and violations;
 * the per-thread access sets cached in ``Thread.access`` equal a fresh
   computation at every visit;
 * ``ExploreStats.persistent`` reaches ``as_dict``, the metrics and the
@@ -140,11 +142,24 @@ int main() {
 }
 """
 
+#: main frees the page its own store may still be buffered for: the
+#: free must also run before the flush, which is then a use after free.
+OWN_PAGEFREE_SOURCE = """
+int main() { int* p = pagealloc(1); *p = 1; pagefree(p); return 0; }
+"""
+
+#: The same store and free in a forked thread.
+FORKED_PAGEFREE_SOURCE = """
+int t1() { int* p = pagealloc(1); *p = 1; pagefree(p); return 0; }
+int main() { int t = fork(t1); join(t); return 0; }
+"""
+
 _SOURCES = {
     "sb3": SB3_SOURCE, "sb4": SB4_SOURCE, "spin": SPIN_SOURCE,
     "recursive": RECURSIVE_SOURCE, "pointer": POINTER_SOURCE,
     "cas": CAS_SOURCE, "buffered": BUFFERED_SOURCE,
-    "pagefree": PAGEFREE_SOURCE,
+    "pagefree": PAGEFREE_SOURCE, "own_pagefree": OWN_PAGEFREE_SOURCE,
+    "forked_pagefree": FORKED_PAGEFREE_SOURCE,
 }
 
 
@@ -189,7 +204,8 @@ def test_catalog_modules_are_loop_free():
 
 
 @pytest.mark.parametrize("name", ["pointer", "cas", "buffered",
-                                  "pagefree"])
+                                  "pagefree", "own_pagefree",
+                                  "forked_pagefree"])
 @pytest.mark.parametrize("model", MODELS)
 def test_races_the_tables_must_see(name, model):
     module = _module(name)
