@@ -63,20 +63,25 @@ On top of the incremental walk it layers three sound reductions:
   may write, or an SC store or a flush of ``a`` that no such code may
   read or write, with ``a`` in no other thread's buffer (and, for a
   flush, no page allocation or free left in its own thread's code).
-  Remaining code comes from static may-access tables
-  (:func:`_access_tables`), built only for a module with no loop and no
-  recursion.  Its state
-  graph is acyclic, so no cycle proviso is needed; every other module
-  keeps the search it had without the rule.  ``ExploreStats.persistent``
-  counts the options dropped.  Sleep sets and the cache no longer
-  visit every reachable state once decision points are cut, but they
-  still reach every outcome and violation.
+  A fence, a CAS, a fork and a join on a finished thread qualify as
+  their buffer drain followed by the action itself: each drained
+  address must pass the flush check, a CAS's address the store check,
+  and a fork also needs every other live thread's remaining code to be
+  free of forks and joins.  Remaining code comes from static
+  may-access tables (:func:`_access_tables`), built only for a module
+  with no loop and no recursion.  Its state graph is acyclic, so no
+  cycle proviso is needed; every other module keeps the search it had
+  without the rule.  ``ExploreStats.persistent`` counts the options
+  dropped.  Sleep sets and the cache no longer visit every reachable
+  state once decision points are cut, but they still reach every
+  outcome and violation.
 
 ``reduction`` selects the level: ``"none"`` (exact mirror of the replay
 tree, for differential validation), ``"sleep"``, or ``"sleep+cache"``
 (default).  Exploration is exact but exponential — use it on litmus tests
 and toy programs, not on the Table-2 benchmarks.  The search honours a
-path budget and reports whether it completed.
+path budget and reports whether it completed: it is complete when the
+tree has at most ``max_paths`` leaves.
 
 The state key leaves out the step count, so two paths of different
 length that reach one state share a cache entry, even when
@@ -451,13 +456,19 @@ _ANY = "*"
 #: exempt for the flushing thread.
 _HEAP = "heap"
 
+#: Marks code that may fork or join.  Forks race for tids, and a join
+#: can name a tid before that thread exists, so a fork is refused while
+#: another thread's remaining code may do either.
+_THREADS = "threads"
+
 #: What some code may access: ``(writes, touches)``, frozensets of
-#: addresses (and possibly :data:`_ANY` and :data:`_HEAP`); ``touches``
-#: is reads and writes together.
+#: addresses (and possibly :data:`_ANY`, :data:`_HEAP` and
+#: :data:`_THREADS`); ``touches`` is reads and writes together.
 Access = Tuple[FrozenSet, FrozenSet]
 
 _NO_ACCESS: Access = (frozenset(), frozenset())
 _HEAP_ACCESS: Access = (frozenset((_ANY,)), frozenset((_ANY, _HEAP)))
+_THREADS_ACCESS: Access = (frozenset(), frozenset((_THREADS,)))
 
 #: Static may-access tables: function name -> one :data:`Access` per
 #: ``ip``, covering the code reachable from that ``ip`` through
@@ -484,8 +495,9 @@ def _access_tables(vm: VM) -> Optional[AccessTables]:
     A load reads its address, a store writes it and a CAS does both; an
     address in a register, ``pagealloc`` and ``pagefree`` count as
     every address (:data:`_ANY`), and the last two also as
-    :data:`_HEAP`.  Fences and joins add nothing: their
-    drains act as flushes of buffers the rule checks directly.  Built
+    :data:`_HEAP`.  A fork and a join add :data:`_THREADS`.  Fences
+    add nothing, and neither do drains: they act as flushes of buffers
+    the rule checks directly.  Built
     once per explored module, callees first, each function's blocks in
     post-order, so every successor's entry is ready when it is needed.
     """
@@ -528,7 +540,12 @@ def _access_tables(vm: VM) -> Optional[AccessTables]:
                 if not build(instr.fn):
                     return False
                 callee = tables[instr.fn]
-                own.append(callee[0] if callee else _NO_ACCESS)
+                access = callee[0] if callee else _NO_ACCESS
+                if cls is ins.Fork:
+                    access = _union(access, _THREADS_ACCESS)
+                own.append(access)
+            elif cls is ins.Join:
+                own.append(_THREADS_ACCESS)
             else:
                 own.append(_NO_ACCESS)
         on_path.discard(name)
@@ -561,47 +578,98 @@ def _thread_access(thread: Thread, tables: AccessTables) -> Access:
     return access
 
 
+def _buffer_owners(model: StoreBufferModel) -> Dict[int, int]:
+    """Each buffered address -> the tid whose buffer holds it, or -1
+    when more than one buffer does."""
+    owners: Dict[int, int] = {}
+    for tid in model.pending_tids():
+        for addr in model.pending_addrs(tid):
+            if owners.setdefault(addr, tid) != tid:
+                owners[addr] = -1
+    return owners
+
+
 def _persistent_singleton(vm: VM, options: List[Option],
                           tables: AccessTables) -> Optional[Option]:
     """The first of *options* that is a persistent set on its own, or
     None (DESIGN, "Static persistent singletons").
 
     A candidate is a load of address ``a`` by thread ``t``, a store to
-    ``a`` by ``t`` (a branch option under SC only) or the flush of ``a``
-    from ``t``'s buffer.  It qualifies when no other unfinished
-    thread's remaining code may write ``a`` (for a load) or touch it
-    (for a store or a flush), and no other thread's buffer holds ``a``;
-    ``t``'s own buffer is exempt, since a thread's load commutes with
-    its own flush through store forwarding.  A flush also fails when
-    ``t``'s own remaining code may allocate or free a page.
+    ``a`` by ``t`` (a branch option under SC only), the flush of ``a``
+    from ``t``'s buffer, or a step of ``t`` that drains a buffer before
+    it acts: a fence, a CAS on ``a``, a fork, or a join on a finished
+    thread ``T``.  It qualifies when no other unfinished thread's
+    remaining code may write ``a`` (for a load) or touch it (for the
+    rest), and no other thread's buffer holds ``a``; ``t``'s own buffer
+    is exempt, since a thread's load commutes with its own flush through
+    store forwarding.  A flush also fails when ``t``'s own remaining
+    code may allocate or free a page.
+
+    A drain is read as its flushes followed by the action proper, so
+    every address it commits must pass the check a flush of it from
+    that buffer would, except the heap clause: the draining thread
+    cannot move before its own step.  A fence's action touches nothing
+    (under TSO an ``ST_ST`` fence drains nothing either), a CAS's is an
+    SC store to ``a``, and a join's only reads ``T``'s done cell.  A
+    join drains ``T``'s buffer, so ``T``'s buffer is the exempt one and
+    the joiner's own is checked.  A fork also fails while another
+    unfinished thread's remaining code may fork or join.
     """
     threads = vm.threads
     model = vm.model
+    # Built once per visit, when the first candidate needs them: each
+    # unfinished thread's remaining-code access, and the buffer owners.
+    live = owners = None
     for option in options:
         ident, fp = option[1], option[2]
         tid = ident[1]
+        held = tid     # the one buffer that may hold the addresses
+        touches = 1    # index into Access: writes (0) or touches (1)
+        fork = False
         if ident[0] == "flush":
             if _HEAP in _thread_access(threads[tid], tables)[1]:
                 continue
-            addr, load = ident[2], False
+            addrs = (ident[2],)
         else:
             frame = threads[tid].frames[-1]
-            cls = frame.fn.body[frame.ip].__class__
+            instr = frame.fn.body[frame.ip]
+            cls = instr.__class__
             if cls is ins.Load:
-                (addr,), load = fp[1], True
+                addrs, touches = fp[1], 0
             elif cls is ins.Store:
-                (addr,), load = fp[2], False
+                addrs = fp[2]
+            elif cls is ins.Fence:
+                if model.name == "tso" and instr.kind is ins.FenceKind.ST_ST:
+                    return option
+                addrs = model.pending_addrs(tid)
+            elif cls is ins.Cas:
+                addr = vm._value(instr.addr, frame)
+                addrs = ([addr] + model.pending_addrs(tid)
+                         if model.name == "tso" else (addr,))
+            elif cls is ins.Fork:
+                addrs, fork = model.pending_addrs(tid), True
+            elif cls is ins.Join and not fp[0]:
+                held, addrs = vm._value(instr.tid, frame), fp[2]
             else:
                 continue
-        for other in threads.values():
-            if other.tid == tid or other.finished:
+            if not addrs and not fork:
+                return option
+        if live is None:
+            live = [(other.tid, _thread_access(other, tables))
+                    for other in threads.values()
+                    if not other.finished]
+        for other, access in live:
+            if other == tid:
                 continue
-            cells = _thread_access(other, tables)[0 if load else 1]
-            if addr in cells or _ANY in cells:
+            cells = access[touches]
+            if fork and _THREADS in cells:
+                break
+            if addrs and (_ANY in cells or not cells.isdisjoint(addrs)):
                 break
         else:
-            if not any(other != tid and addr in model.pending_addrs(other)
-                       for other in model.pending_tids()):
+            if owners is None:
+                owners = _buffer_owners(model)
+            if all(owners.get(addr, held) == held for addr in addrs):
                 return option
     return None
 
@@ -726,6 +794,8 @@ class _Search:
         self.outcomes = outcomes
         self.violations = violations
         self.stack: List[_Node] = []
+        #: Set when a leaf was reached with no path budget left.
+        self.exhausted = False
         #: Full thread tuple -> interned id (see :func:`_state_key`).
         #: The ids mean something only inside this search, whose VM and
         #: threads are its own.
@@ -734,7 +804,8 @@ class _Search:
     def run(self) -> bool:
         """Explore the tree rooted at the VM's current state.
 
-        Returns True iff the tree was fully explored within budget.
+        Returns True iff the tree was fully explored within budget: it
+        has at most ``max_paths`` leaves.
         """
         vm = self.vm
         stats = self.stats
@@ -742,8 +813,6 @@ class _Search:
             return True
         stack = self.stack
         while stack:
-            if stats.paths >= self.max_paths:
-                return False
             node = stack[-1]
             if node.index >= len(node.branch):
                 stack.pop()
@@ -771,6 +840,8 @@ class _Search:
             enabled = self._edge(choice)
             if enabled is not None:
                 self._visit(child_sleep, enabled)
+            if self.exhausted:
+                return False
         return True
 
     def _root(self) -> bool:
@@ -802,12 +873,22 @@ class _Search:
                 vm.flush_one(choice[1], choice[2])
             return _advance_local(vm, self.local)
         except SpecViolationError as exc:
-            self.violations.add(str(exc))
-            self.stats.paths += 1
+            if self._leaf():
+                self.violations.add(str(exc))
         except StepLimitExceeded:
-            self.stats.paths += 1  # unbounded path (e.g. spin loop): prune
-            self.stats.step_limited += 1
+            if self._leaf():  # unbounded path (e.g. spin loop): prune
+                self.stats.step_limited += 1
         return None
+
+    def _leaf(self) -> bool:
+        """Count a leaf reached, or, when ``max_paths`` leaves have been
+        counted already, count nothing, mark the search exhausted and
+        return False."""
+        if self.stats.paths >= self.max_paths:
+            self.exhausted = True
+            return False
+        self.stats.paths += 1
+        return True
 
     def _visit(self, sleep: Dict[Tuple, Footprint],
                enabled: List[int]) -> None:
@@ -821,8 +902,8 @@ class _Search:
             # joiner waits until the target finishes, then joins it.
             options = [o for o in options if o[2] is not _WAIT_FP]
         if not options:
-            self.outcomes.add(self.outcome_fn(vm))
-            stats.paths += 1
+            if self._leaf():
+                self.outcomes.add(self.outcome_fn(vm))
             return
         if self.tables is not None and len(options) > 1:
             single = _persistent_singleton(vm, options, self.tables)

@@ -145,6 +145,22 @@ class TestExplorerMechanics:
         assert not result.complete
         assert result.paths == 3
 
+    @pytest.mark.parametrize("reduction", ["none", "sleep", "sleep+cache"])
+    @pytest.mark.parametrize("model", ["sc", "tso", "pso"])
+    def test_budget_equal_to_the_path_count_is_complete(self, model,
+                                                        reduction):
+        module = compile_source(SB)
+        paths = explore(module, model, outcome_fn=thread_results,
+                        reduction=reduction).paths
+        result = explore(module, model, outcome_fn=thread_results,
+                         max_paths=paths, reduction=reduction)
+        assert result.complete
+        assert result.paths == paths
+        short = explore(module, model, outcome_fn=thread_results,
+                        max_paths=paths - 1, reduction=reduction)
+        assert not short.complete
+        assert short.paths == paths - 1
+
     def test_violations_collected(self):
         src = """
         int X;

@@ -19,14 +19,18 @@ a flush that no other thread's remaining code or buffer can race with
 is the only option taken at its decision point) then cut every pinned
 row but mp/sc: sb4/tso 565 -> 259 states and 25 -> 16 paths, one path
 per outcome, sb3/tso 118 -> 68 states and 13 -> 8 paths.  Again no
-outcome moved.  The cached state keys, step options and remaining-code
-access sets must leave every decision as the uncached explorer makes
-it, so any drift in these numbers is a change of search; the replay
-sweep of ``test_explore_equivalence.py`` guards exactness,
-``test_cache_revisits.py`` the visited states and edges,
-``test_lifecycle_footprints.py`` the joins, ``test_eager_calls.py``
-the eager calls and returns and ``test_persistent_sets.py`` the
-persistent singletons.
+outcome moved.  Forks, joins on finished threads, fences and CAS then
+became persistent singletons too, each read as its buffer drain
+followed by the action itself: sb4/tso 259 -> 180 states and 227 ->
+136 pruned branches, sb4/sc 157 -> 126, sb3/tso 68 -> 59 and 2+2w/pso
+53 -> 41, with the same paths and outcomes.  The cached state keys,
+step options and remaining-code access sets must leave every decision
+as the uncached explorer makes it, so any drift in these numbers is a
+change of search; the replay sweep of ``test_explore_equivalence.py``
+guards exactness, ``test_cache_revisits.py`` the visited states and
+edges, ``test_lifecycle_footprints.py`` the joins,
+``test_eager_calls.py`` the eager calls and returns and
+``test_persistent_sets.py`` the persistent singletons.
 """
 
 import json
@@ -50,14 +54,14 @@ PINNED = {
     ("mp", "sc"): (2, 1, 0, 8),
     ("mp", "tso"): (2, 1, 0, 9),
     ("mp", "pso"): (3, 2, 0, 13),
-    ("2+2w", "pso"): (4, 10, 33, 53),
-    ("sb3", "tso"): (8, 37, 2, 68),
-    ("sb3", "pso"): (8, 37, 2, 68),
+    ("2+2w", "pso"): (4, 8, 20, 41),
+    ("sb3", "tso"): (8, 28, 0, 59),
+    ("sb3", "pso"): (8, 28, 0, 59),
     # sb4 under tso/pso carried most of an explore-litmus perfbench pass
     # before the persistent singletons cut it to one path per outcome.
-    ("sb4", "sc"): (15, 49, 8, 157),
-    ("sb4", "tso"): (16, 227, 27, 259),
-    ("sb4", "pso"): (16, 227, 27, 259),
+    ("sb4", "sc"): (15, 39, 0, 126),
+    ("sb4", "tso"): (16, 136, 0, 180),
+    ("sb4", "pso"): (16, 136, 0, 180),
 }
 
 #: A spin loop that never ends.  The counter makes every iteration a new

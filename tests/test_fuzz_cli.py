@@ -70,6 +70,22 @@ def test_explore_reports_exact_paths(capsys):
     assert "BUDGET EXHAUSTED" not in captured.out
 
 
+def test_explore_budget_equal_to_the_path_count_is_complete(capsys):
+    # sb has 3 paths under SC and 4 under TSO and PSO.
+    rc = main(["--explore", "sb", "--max-paths", "4"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "BUDGET EXHAUSTED" not in out
+
+
+def test_explore_budget_one_below_the_path_count_is_exhausted(capsys):
+    rc = main(["--explore", "sb", "--max-paths", "3"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "SC   (     3 paths, exact)" in out
+    assert "TSO  (     3 paths, BUDGET EXHAUSTED)" in out
+
+
 def test_explore_budget_exhaustion_is_loud(capsys):
     rc = main(["--explore", "sb", "--max-paths", "2"])
     captured = capsys.readouterr()

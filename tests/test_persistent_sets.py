@@ -5,10 +5,15 @@ SC store or a flush of an address ``a`` that no other thread can race
 with is cut to that one option: no other unfinished thread's remaining
 code may write ``a`` (for a load) or touch it (for a store or a flush),
 and no other thread's buffer holds ``a``; a flush also needs its own
-thread to have no page allocation or free left.  The remaining code comes
-from static may-access tables, built per explored module only when the
-module has no loop and no recursion (DESIGN, "Static persistent
-singletons").
+thread to have no page allocation or free left.  A fence, a CAS, a fork
+and a join on a finished thread qualify the same way, read as their
+buffer drain followed by the action itself: every drained address must
+pass the flush check, a CAS's address the SC-store check, a join's
+drain may share no address with the joiner's own buffer, and a fork
+needs every other thread's remaining code to be free of forks and
+joins.  The remaining code comes from static may-access tables, built
+per explored module only when the module has no loop and no recursion
+(DESIGN, "Static persistent singletons").
 
 The tests below check that:
 
@@ -18,7 +23,13 @@ The tests below check that:
 * programs whose races the tables must see (a store through a pointer,
   a CAS through a pointer, a store still in another thread's buffer, a
   ``pagefree`` in another thread or behind the freeing thread's own
-  buffered store) keep the replay reference's outcomes and violations;
+  buffered store, two threads racing for child tids, a fence, CAS or
+  fork draining an address another thread reads, a CAS on an address
+  another thread writes, a join draining an address another thread
+  reads or the joiner's own buffer holds) keep the replay reference's
+  outcomes and violations, and a join that names a tid before its
+  thread exists still fails as it does there;
+* each new kind is taken as a singleton somewhere;
 * the per-thread access sets cached in ``Thread.access`` equal a fresh
   computation at every visit;
 * ``ExploreStats.persistent`` reaches ``as_dict``, the metrics and the
@@ -36,6 +47,7 @@ from repro.minic import compile_source
 from repro.obs.recorder import Recorder
 from repro.sched import explorer
 from repro.vm.compile import make_vm
+from repro.vm.errors import InterpreterError
 from tests.reference.replay_explore import explore as explore_replay
 
 MODELS = ["sc", "tso", "pso"]
@@ -154,12 +166,65 @@ int t1() { int* p = pagealloc(1); *p = 1; pagefree(p); return 0; }
 int main() { int t = fork(t1); join(t); return 0; }
 """
 
+#: main and t1 both fork: the child tids depend on the order.
+FORK_SOURCE = """
+int c() { return 0; }
+int t1() { int k = fork(c); return k; }
+int main() { int t = fork(t1); int k = fork(c); return k; }
+"""
+
+#: t1 joins tid 2 by number: before main's second fork it names no
+#: thread, and the join fails.
+EARLY_JOIN_SOURCE = """
+int c() { return 5; }
+int t1() { join(2); return 1; }
+int main() { int t = fork(t1); int k = fork(c); join(t); return k; }
+"""
+
+#: main's drain commits X, which t1 reads; ``%s`` is the draining
+#: statement.
+DRAIN_TEMPLATE = """
+int X; int Y;
+int c() { return 0; }
+int t1() { int r = X; return r; }
+int main() { int t = fork(t1); X = 1; %s join(t); return 0; }
+"""
+
+#: A CAS on X, which t1 writes.
+CAS_WRITE_SOURCE = """
+int X;
+int t1() { X = 2; return 0; }
+int main() { int t = fork(t1); int ok = cas(&X, 0, 1); join(t); return ok; }
+"""
+
+#: main's join drains t1's X, which t2 reads.
+JOIN_READ_SOURCE = """
+int X;
+int t1() { X = 1; return 0; }
+int t2() { int r = X; return r; }
+int main() { int a = fork(t1); int b = fork(t2); join(a); join(b); return 0; }
+"""
+
+#: main's join drains t1's X while main's own buffer holds X too: the
+#: final X, which main reads after its fence, depends on the order.
+JOIN_OWN_BUFFER_SOURCE = """
+int X;
+int t1() { X = 1; return 0; }
+int main() { int t = fork(t1); X = 2; join(t); fence(); int r = X; return r; }
+"""
+
 _SOURCES = {
     "sb3": SB3_SOURCE, "sb4": SB4_SOURCE, "spin": SPIN_SOURCE,
     "recursive": RECURSIVE_SOURCE, "pointer": POINTER_SOURCE,
     "cas": CAS_SOURCE, "buffered": BUFFERED_SOURCE,
     "pagefree": PAGEFREE_SOURCE, "own_pagefree": OWN_PAGEFREE_SOURCE,
-    "forked_pagefree": FORKED_PAGEFREE_SOURCE,
+    "forked_pagefree": FORKED_PAGEFREE_SOURCE, "fork": FORK_SOURCE,
+    "early_join": EARLY_JOIN_SOURCE,
+    "fence_drain": DRAIN_TEMPLATE % "fence();",
+    "cas_drain": DRAIN_TEMPLATE % "int ok = cas(&Y, 0, 1);",
+    "fork_drain": DRAIN_TEMPLATE % "int k = fork(c);",
+    "cas_write": CAS_WRITE_SOURCE, "join_read": JOIN_READ_SOURCE,
+    "join_own_buffer": JOIN_OWN_BUFFER_SOURCE,
 }
 
 
@@ -205,7 +270,10 @@ def test_catalog_modules_are_loop_free():
 
 @pytest.mark.parametrize("name", ["pointer", "cas", "buffered",
                                   "pagefree", "own_pagefree",
-                                  "forked_pagefree"])
+                                  "forked_pagefree", "fork",
+                                  "fence_drain", "cas_drain",
+                                  "fork_drain", "cas_write", "join_read",
+                                  "join_own_buffer"])
 @pytest.mark.parametrize("model", MODELS)
 def test_races_the_tables_must_see(name, model):
     module = _module(name)
@@ -217,6 +285,40 @@ def test_races_the_tables_must_see(name, model):
         assert result.outcomes == base.outcomes, reduction
         assert result.violations == base.violations, reduction
         assert result.exact
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_join_before_its_thread_exists_fails(model):
+    module = _module("early_join")
+    assert _tables(module) is not None
+    with pytest.raises(InterpreterError, match="unknown thread 2"):
+        explore_replay(module, model, outcome_fn=thread_results)
+    for reduction in ("sleep", "sleep+cache"):
+        with pytest.raises(InterpreterError, match="unknown thread 2"):
+            explorer.explore(module, model, outcome_fn=thread_results,
+                             reduction=reduction)
+
+
+def test_new_kinds_are_taken(monkeypatch):
+    """A fence, a CAS, a fork and a join are each the chosen singleton
+    somewhere in the catalog, sb3 and a CAS program."""
+    taken = set()
+    singleton = explorer._persistent_singleton
+
+    def recording(vm, options, tables):
+        option = singleton(vm, options, tables)
+        if option is not None and option[1][0] == "step":
+            frame = vm.threads[option[1][1]].frames[-1]
+            taken.add(frame.fn.body[frame.ip].__class__.__name__)
+        return option
+
+    monkeypatch.setattr(explorer, "_persistent_singleton", recording)
+    modules = [test.compile() for test in LITMUS_TESTS.values()]
+    modules += [_module(name) for name in ("sb3", "cas_drain")]
+    for module in modules:
+        for model in MODELS:
+            explorer.explore(module, model, outcome_fn=thread_results)
+    assert {"Fence", "Cas", "Fork", "Join"} <= taken
 
 
 def test_pagefree_race_is_found():
