@@ -134,6 +134,8 @@ OutcomeFn = Callable[[VM], Tuple]
 #: progress).
 _LOCAL_BURST = 4096
 
+_FINISHED = ThreadStatus.FINISHED
+
 #: Supported reduction levels, weakest first.
 REDUCTIONS = ("none", "sleep", "sleep+cache")
 
@@ -655,9 +657,10 @@ def _persistent_singleton(vm: VM, options: List[Option],
             if not addrs and not fork:
                 return option
         if live is None:
-            live = [(other.tid, _thread_access(other, tables))
+            live = [(other.tid,
+                     other.access or _thread_access(other, tables))
                     for other in threads.values()
-                    if not other.finished]
+                    if other.status is not _FINISHED]
         for other, access in live:
             if other == tid:
                 continue
@@ -669,7 +672,8 @@ def _persistent_singleton(vm: VM, options: List[Option],
         else:
             if owners is None:
                 owners = _buffer_owners(model)
-            if all(owners.get(addr, held) == held for addr in addrs):
+            if not owners or all(owners.get(addr, held) == held
+                                 for addr in addrs):
                 return option
     return None
 

@@ -29,7 +29,8 @@ The tests below check that:
   reads or the joiner's own buffer holds) keep the replay reference's
   outcomes and violations, and a join that names a tid before its
   thread exists still fails as it does there;
-* each new kind is taken as a singleton somewhere;
+* a fence, a CAS, a fork and a join are each taken as a singleton
+  somewhere;
 * the per-thread access sets cached in ``Thread.access`` equal a fresh
   computation at every visit;
 * ``ExploreStats.persistent`` reaches ``as_dict``, the metrics and the
@@ -299,7 +300,7 @@ def test_join_before_its_thread_exists_fails(model):
                              reduction=reduction)
 
 
-def test_new_kinds_are_taken(monkeypatch):
+def test_draining_kinds_are_taken(monkeypatch):
     """A fence, a CAS, a fork and a join are each the chosen singleton
     somewhere in the catalog, sb3 and a CAS program."""
     taken = set()
