@@ -131,9 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-paths", type=int, default=20_000,
                         metavar="N",
                         help="path budget per --explore enumeration "
-                             "(default: 20000); an exhausted budget is "
-                             "reported loudly — the outcome set is then "
-                             "only a lower bound")
+                             "(default: 20000); it bounds leaves, not "
+                             "work. An exhausted budget is reported "
+                             "loudly — the outcome set is then only a "
+                             "lower bound")
     parser.add_argument("--profile", action="store_true",
                         help="run the command under cProfile and append "
                              "the top-20 cumulative entries to the report")
@@ -158,7 +159,7 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
                              "SC; repeatable (default: tso and pso)")
     parser.add_argument("--max-paths", type=int, default=None, metavar="N",
                         help="path budget per exploration (default: "
-                             "50000)")
+                             "50000); it bounds leaves, not work")
     parser.add_argument("--max-total-paths", type=int, default=None,
                         metavar="N",
                         help="path budget for one program's whole oracle "

@@ -6,9 +6,6 @@
   "eliminates a fence if it can prove that it always follows a previous
   fence statement in program order, with no store statements on shared
   variables occurring in between".
-* :func:`strip_fences` — remove fences (used to de-fence published
-  algorithms before asking the engine to re-infer them, exactly as the
-  evaluation methodology describes).
 """
 
 from __future__ import annotations
@@ -48,25 +45,6 @@ def insert_fence_after(module: Module, label: int, kind: FenceKind,
     fence = Fence(module.new_label(), kind, instr.src_line, synthesized)
     fn.insert_after(label, fence)
     return fence
-
-
-def strip_fences(module: Module, only_synthesized: bool = False) -> int:
-    """Remove fence instructions from every function; return the count.
-
-    With ``only_synthesized`` True, only engine-inserted fences go.
-    """
-    removed = 0
-    for fn in module.functions.values():
-        new_body = []
-        for instr in fn.body:
-            if isinstance(instr, Fence) and (
-                    instr.synthesized or not only_synthesized):
-                removed += 1
-            else:
-                new_body.append(instr)
-        fn.body = new_body
-        fn.invalidate_index()
-    return removed
 
 
 def merge_redundant_fences(module: Module) -> int:

@@ -40,21 +40,6 @@ class SpanTracer:
             event["args"] = args
         self.events.append(event)
 
-    def instant(self, name: str, at_us: float,
-                args: Optional[dict] = None) -> None:
-        """A zero-duration marker (``ph: "i"``) — e.g. round boundaries."""
-        event = {
-            "name": name,
-            "ph": "i",
-            "ts": round(at_us, 3),
-            "s": "p",
-            "pid": self.pid,
-            "tid": 0,
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
-
     def to_json(self) -> dict:
         return {"traceEvents": list(self.events), "displayTimeUnit": "ms"}
 

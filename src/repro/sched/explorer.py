@@ -156,9 +156,9 @@ _GLOBAL_FP: Footprint = (True, _EMPTY, _EMPTY)
 #: the issuing thread's own FIFO buffer, invisible to every other thread
 #: until a *flush* commits it.  It commutes with everything except that
 #: thread's own actions (which are never candidates for each other's
-#: sleep sets anyway).  Only the ``none`` level branches on these; the
-#: sleep levels run them eagerly (:func:`_advance_local`), so there the
-#: footprint is never computed.
+#: sleep sets anyway).  The sleep levels run them eagerly
+#: (:func:`_advance_local`) unless the VM records operations, so only
+#: ``none`` and such a VM (``LOCAL_OPS_ASSERT``) compute this footprint.
 _LOCAL_FP: Footprint = (False, _EMPTY, _EMPTY)
 #: A join whose target has not finished: stepping it would only block
 #: the joiner.  Only ``none`` branches on it; at the sleep levels the
@@ -322,15 +322,15 @@ def _step_footprint(vm: VM, thread: Thread) -> Optional[Footprint]:
             # SC commits immediately: a real shared write.
             addr = vm._value(instr.addr, frame)
             return (False, _EMPTY, frozenset((addr,)))
-        return _LOCAL_FP  # reachable at reduction="none" only
+        return _LOCAL_FP  # an option at "none" or if vm.operations
     if cls is ins.Ret:
         if frame.op_index is not None:
             return _GLOBAL_FP  # completes a recorded operation
         if len(thread.frames) == 1:
             # Finishes the thread: writes its status and result, which
             # only a join on it reads.  Its buffer still flushes.  An
-            # option at reduction="none" only: the sleep levels run it
-            # in the local burst.
+            # option at "none", and at the sleep levels when the VM
+            # records operations (else the local burst runs it).
             return (False, _EMPTY, _done_cell(thread.tid))
         return _LOCAL_FP
     if cls is ins.Call:
@@ -1001,6 +1001,10 @@ def explore(module: Module, model_name: str = "sc", entry: str = "main",
     ``violations``.  ``reduction="none"`` visits
     the replay reference's tree (identical ``paths`` count) one VM step
     per edge.  The result carries an :class:`ExploreStats` in ``.stats``.
+
+    ``max_paths`` bounds leaves, not work: michael_allocator's first
+    client under PSO with ``max_paths=300`` runs about 400 s and enters
+    2.4 M states before its 300th leaf.
 
     ``model_factory`` overrides how the memory model is built (default:
     ``make_model(model_name)``).  The differential fuzzing oracles use it

@@ -177,16 +177,5 @@ class SharedMemory:
                              tuple(self._region_bases), self._bump)
         return fp
 
-    def region_of(self, addr: int) -> Optional[Tuple[int, int]]:
-        """The (base, size) of the live region containing ``addr``."""
-        pos = bisect_right(self._region_bases, addr) - 1
-        if pos < 0:
-            return None
-        base = self._region_bases[pos]
-        size = self._region_sizes[base]
-        if addr < base + size:
-            return (base, size)
-        return None
-
     def live_regions(self) -> Iterable[Tuple[int, int]]:
         return [(base, self._region_sizes[base]) for base in self._region_bases]

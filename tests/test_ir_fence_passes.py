@@ -1,4 +1,4 @@
-"""Unit tests for fence insertion, merge, and strip passes."""
+"""Unit tests for the fence insertion and merge passes."""
 
 from repro.ir import Const, FenceKind, GlobalVar, IRBuilder, Module, Reg, Sym
 from repro.ir.instructions import Fence
@@ -6,7 +6,6 @@ from repro.ir.passes import (
     insert_fence_after,
     merge_redundant_fences,
     module_stats,
-    strip_fences,
 )
 
 
@@ -146,27 +145,6 @@ class TestMergeRedundantFences:
             b.ret()
         m = make_module(emit)
         assert merge_redundant_fences(m) == 0
-
-
-class TestStripFences:
-    def test_strip_all(self):
-        def emit(b):
-            b.fence(FenceKind.FULL)
-            b.store(Const(1), Sym("X"))
-            b.fence(FenceKind.ST_ST, synthesized=True)
-        m = make_module(emit)
-        assert strip_fences(m) == 2
-        assert fences_in(m) == []
-
-    def test_strip_only_synthesized(self):
-        def emit(b):
-            b.fence(FenceKind.FULL)
-            b.fence(FenceKind.ST_ST, synthesized=True)
-        m = make_module(emit)
-        assert strip_fences(m, only_synthesized=True) == 1
-        remaining = fences_in(m)
-        assert len(remaining) == 1
-        assert not remaining[0].synthesized
 
 
 class TestModuleStats:

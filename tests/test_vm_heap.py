@@ -85,12 +85,6 @@ class TestValidity:
         with pytest.raises(MemorySafetyViolation, match="out-of-bounds"):
             mem.check(10 ** 6, "load", tid=1, label=42)
 
-    def test_region_of(self):
-        mem = memory_with()
-        base = mem.pagealloc(4)
-        assert mem.region_of(base + 2) == (base, 4)
-        assert mem.region_of(base + 4) is None
-
 
 class TestPageFree:
     def test_freed_region_becomes_invalid(self):
