@@ -29,4 +29,3 @@ def test_format_module(name):
     assert len(text.splitlines()) > module.instruction_count()
     for fn_name in module.functions:
         assert "func %s(" % fn_name in text
-
